@@ -118,7 +118,6 @@ int RunXlStorageSweep(const BenchOptions& opt) {
   map.AddMetric("members", mapped_members);
   opt.reporter->Add(map);
 
-  AppendMetricsCsv(opt);
   return FinishReport(opt);
 }
 

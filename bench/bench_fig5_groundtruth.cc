@@ -83,6 +83,5 @@ int main(int argc, char** argv) {
     }
     std::fflush(stdout);
   }
-  AppendMetricsCsv(opt);
   return FinishReport(opt);
 }

@@ -227,6 +227,5 @@ int main(int argc, char** argv) {
     opt.reporter->Add(std::move(row));
   }
 
-  AppendMetricsCsv(opt);
   return FinishReport(opt);
 }

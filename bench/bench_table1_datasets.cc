@@ -69,6 +69,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(Facebook paper row shows the first of ten ego networks; the "
               "synthetic row aggregates all ten.)\n");
-  AppendMetricsCsv(opt);
   return FinishReport(opt);
 }

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/parallel.h"
@@ -82,8 +81,6 @@ BenchOptions ParseOptions(int argc, char** argv, const std::string& suite) {
       opt.paper_scale = false;
     } else if (arg.rfind("--seed=", 0) == 0) {
       opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--csv=", 0) == 0) {
-      opt.csv_path = arg.substr(6);
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json_path = arg.substr(7);
       if (opt.json_path == "off") opt.json_path.clear();
@@ -106,8 +103,7 @@ BenchOptions ParseOptions(int argc, char** argv, const std::string& suite) {
       std::fprintf(stderr,
                    "unknown flag: %s\nusage: %s [--scale=small|paper|xl] "
                    "[--seed=N] [--threads=N] [--datasets=a,b,...] "
-                   "[--repeats=N] [--warmup=N] [--json=path|off] "
-                   "[--csv=path]\n",
+                   "[--repeats=N] [--warmup=N] [--json=path|off]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -169,52 +165,6 @@ std::vector<NamedMethod> MakeMethodRoster(const BenchOptions& opt,
   return out;
 }
 
-void AppendCsv(const BenchOptions& opt, const std::string& context,
-               const std::vector<MethodResult>& results) {
-  if (opt.csv_path.empty()) return;
-  std::ifstream probe(opt.csv_path);
-  const bool need_header = !probe.good() || probe.peek() == EOF;
-  probe.close();
-  std::ofstream out(opt.csv_path, std::ios::app);
-  if (!out.good()) {
-    std::fprintf(stderr, "warning: cannot append CSV to %s\n",
-                 opt.csv_path.c_str());
-    return;
-  }
-  if (need_header) {
-    out << "context,method,accuracy,precision,recall,f1,train_ms,test_ms\n";
-  }
-  for (const auto& r : results) {
-    out << context << ',' << r.name << ',' << r.stats.accuracy << ','
-        << r.stats.precision << ',' << r.stats.recall << ',' << r.stats.f1
-        << ',' << r.train_ms << ',' << r.test_ms << '\n';
-  }
-}
-
-void AppendMetricsCsv(const BenchOptions& opt) {
-  if (opt.csv_path.empty() || opt.reporter == nullptr) return;
-  std::ifstream probe(opt.csv_path);
-  const bool need_header = !probe.good() || probe.peek() == EOF;
-  probe.close();
-  std::ofstream out(opt.csv_path, std::ios::app);
-  if (!out.good()) {
-    std::fprintf(stderr, "warning: cannot append CSV to %s\n",
-                 opt.csv_path.c_str());
-    return;
-  }
-  if (need_header) {
-    out << "suite,case,dataset,backend,threads,scale,metric,value,stddev\n";
-  }
-  const BenchReport& report = opt.reporter->report();
-  for (const BenchRow& row : report.rows) {
-    for (const auto& [name, m] : row.metrics) {
-      out << report.meta.suite << ',' << row.case_name << ',' << row.dataset
-          << ',' << row.backend << ',' << row.threads << ',' << row.scale
-          << ',' << name << ',' << m.value << ',' << m.stddev << '\n';
-    }
-  }
-}
-
 MethodResult RunMethodRepeated(
     const BenchOptions& opt, const std::string& name,
     const std::function<std::unique_ptr<CsMethod>()>& make,
@@ -272,7 +222,6 @@ void RecordResults(const BenchOptions& opt, const RosterScope& scope,
       opt.reporter->Add(std::move(row));
     }
   }
-  AppendCsv(opt, scope.dataset + "/" + scope.case_name, results);
 }
 
 std::vector<MethodResult> RunRoster(

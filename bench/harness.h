@@ -13,7 +13,6 @@
 //                          report carries the median and stddev
 //   --warmup=N            (default 0) untimed runs before measuring
 //   --json=PATH|off       (default BENCH_<suite>.json) canonical report
-//   --csv=PATH            (optional) legacy CSV, derived from the same rows
 #ifndef CGNP_BENCH_HARNESS_H_
 #define CGNP_BENCH_HARNESS_H_
 
@@ -50,12 +49,6 @@ struct BenchOptions {
   int warmup = 0;
   // Canonical report destination; empty disables JSON output (--json=off).
   std::string json_path;
-  // When non-empty, every roster result row is appended to this CSV file
-  // (columns: context, method, accuracy, precision, recall, f1, train_ms,
-  // test_ms) for plotting; non-roster suites append long-format rows
-  // (suite, case, dataset, backend, threads, scale, metric, value, stddev).
-  // Both views are derived from the same rows the JSON report carries.
-  std::string csv_path;
 
   // Collects rows for the whole run; FinishReport serialises it.
   std::shared_ptr<BenchReporter> reporter;
@@ -124,7 +117,7 @@ MethodResult RunMethodRepeated(
     const std::function<std::unique_ptr<CsMethod>()>& make,
     const TaskSplit& split);
 
-// Routes finished rows into the JSON reporter and the legacy roster CSV.
+// Routes finished rows into the JSON reporter.
 void RecordResults(const BenchOptions& opt, const RosterScope& scope,
                    const std::vector<MethodResult>& results);
 
@@ -135,15 +128,6 @@ std::vector<MethodResult> RunRoster(
     const BenchOptions& opt, bool attributed, const TaskSplit& split,
     const RosterScope& scope,
     const std::function<bool(const NamedMethod&)>& include = nullptr);
-
-// Appends result rows to opt.csv_path (no-op when unset). Exposed for
-// benches that bypass RunRoster.
-void AppendCsv(const BenchOptions& opt, const std::string& context,
-               const std::vector<MethodResult>& results);
-
-// Long-format CSV for non-roster suites (serve, tables without a roster),
-// derived from the reporter's rows. No-op when --csv is unset.
-void AppendMetricsCsv(const BenchOptions& opt);
 
 // Writes BENCH_<suite>.json (unless --json=off). Returns main()'s exit
 // code: 0 on success, 1 when the report could not be written.

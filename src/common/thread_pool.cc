@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace cgnp {
 
@@ -31,6 +32,15 @@ void ThreadPool::Submit(std::function<void()> fn) {
 }
 
 void ThreadPool::WorkerLoop() {
+  // glibc sets up a per-thread malloc arena on a thread's first heap
+  // allocation, which costs tens of microseconds. Pay it here, before the
+  // worker takes any task, so it never lands inside the first task's
+  // latency (a served request's stage trace would show it as unexplained
+  // time). The volatile pointer keeps the pair from being elided.
+  {
+    void* volatile warm = std::malloc(1);
+    std::free(warm);
+  }
   for (;;) {
     std::function<void()> fn;
     {

@@ -11,6 +11,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/context_cache.h"
 #include "tensor/io.h"
 #include "tensor/workspace.h"
 
@@ -51,7 +52,8 @@ StatusOr<LocalQueryTask> BuildQueryTask(
   // The query (BFS seed) is nodes[0]; map ids.
   std::vector<NodeId> new_of_old;
   Graph sub = InducedSubgraph(g, out.nodes, &new_of_old);
-  out.graph = AttachTaskFeatures(sub, attribute_dim);
+  out.graph = AttachTaskFeatures(sub, attribute_dim,
+                                 /*keep_attributes=*/false);
   out.query = new_of_old[query];
 
   // Remap user-provided support observations into the task subgraph.
@@ -95,7 +97,11 @@ std::vector<NodeId> MembersFromContext(const CgnpModel& model,
 }
 
 CommunitySearchEngine::CommunitySearchEngine(Options options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      // Same family the classical adapters record into (cs/searcher.cc),
+      // so backends compare on one dashboard.
+      search_ms_(&obs::MetricsRegistry::Default().GetHistogram(
+          "cgnp_backend_search_ms", {{"backend", "cgnp"}})) {}
 
 Status CommunitySearchEngine::Fit(const Graph& g) {
   if (g.num_nodes() == 0) {
@@ -203,24 +209,31 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
   // after the scope) is destroyed before the arena resets. No-op when a
   // serving layer already opened a scope for this request.
   WorkspaceScope workspace;
-  Tensor context;
-  {
-    CGNP_TRACE_SPAN("encode");
-    context = model_->TaskContext(task.graph, task.support, nullptr);
-  }
   QueryResult result;
   result.backend = "cgnp";
+  Tensor context;
+  // Algorithm 2's asymmetry across requests: with a serving cache slot, a
+  // task whose encoder inputs were seen before reuses that context.
+  serve::ContextCache::Key key;
+  if (options.cache != nullptr) {
+    key = {options.graph_id, serve::TaskFingerprint(task),
+           options.graph_version};
+    result.cache_eligible = true;
+    result.cache_hit = options.cache->Get(key, &context);
+  }
+  if (!result.cache_hit) {
+    CGNP_TRACE_SPAN("encode");
+    context = model_->TaskContext(task.graph, task.support, nullptr);
+    // The task's node list is the context's coverage, so graph updates
+    // invalidate by overlap instead of flushing the whole graph id.
+    if (options.cache != nullptr) options.cache->Put(key, context, task.nodes);
+  }
   result.members = MembersFromContext(*model_, task, context,
                                       options.threshold, &result.probs);
   const auto end = std::chrono::steady_clock::now();
   result.elapsed_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
-  // Same family the classical adapters record into (cs/searcher.cc), so
-  // backends compare on one dashboard.
-  static obs::Histogram* search_ms =
-      &obs::MetricsRegistry::Default().GetHistogram(
-          "cgnp_backend_search_ms", {{"backend", "cgnp"}});
-  search_ms->Record(result.elapsed_ms);
+  search_ms_->Record(result.elapsed_ms);
   return result;
 }
 

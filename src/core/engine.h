@@ -25,14 +25,19 @@
 
 namespace cgnp {
 
+namespace obs {
+class Histogram;  // obs/metrics.h
+}  // namespace obs
+
 // A community-search query materialised as a self-contained local task:
 // the BFS subgraph around the query with the Section VII-A feature matrix
 // attached, support observations remapped into local ids, and the map back
-// to the parent graph's ids. Both CommunitySearchEngine::Search and the
-// serving subsystem (src/serve) build queries through this, so the two
-// paths are prediction-identical by construction.
+// to the parent graph's ids. CommunitySearchEngine::Query builds every
+// cgnp query through this, served ones included.
 struct LocalQueryTask {
-  Graph graph;                  // feature-attached task subgraph
+  // Feature-attached task subgraph. It carries no per-node attribute
+  // lists: the attribute one-hot columns of its features encode them.
+  Graph graph;
   std::vector<NodeId> nodes;    // local id -> parent graph id
   NodeId query = -1;            // local id of the query node
   // Support in local ids; never empty (falls back to the zero-shot
@@ -51,7 +56,7 @@ StatusOr<LocalQueryTask> BuildQueryTask(
     const Graph& g, NodeId query, const std::vector<QueryExample>& labelled,
     const TaskConfig& tasks, int64_t attribute_dim, uint64_t seed);
 
-// The decode half shared by Search and the server: one decoder pass over
+// The decode half of CommunitySearchEngine::Query: one decoder pass over
 // the task given its context, sigmoid, then the membership rule (prob >=
 // threshold, query always included). Returns members in the parent
 // graph's ids; when `member_probs` is non-null it receives the matching
@@ -91,7 +96,9 @@ class CommunitySearchEngine {
   // with no further positives) conditions the context -- the zero-shot
   // setting. Returns members plus aligned membership probabilities and
   // timing; FailedPrecondition before Fit/load, OutOfRange for bad node
-  // ids, InvalidArgument for a bad threshold.
+  // ids, InvalidArgument for a bad threshold. With QueryOptions::cache set
+  // (the serving layer's slot), the encoded context is looked up between
+  // task build and encode and stored on a miss.
   StatusOr<QueryResult> Query(const Graph& g, NodeId query,
                               const std::vector<QueryExample>& labelled = {},
                               const QueryOptions& options = {}) const;
@@ -125,6 +132,9 @@ class CommunitySearchEngine {
   std::unique_ptr<CgnpModel> model_;
   int64_t feature_dim_ = 0;
   int64_t attribute_dim_ = 0;
+  // Resolved once at construction, like the classical adapters' handle
+  // (cs/searcher.cc), so no query pays the registry lookup.
+  obs::Histogram* search_ms_;
 };
 
 // Configuration validation shared by EngineBuilder::Build and tests;

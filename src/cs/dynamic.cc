@@ -7,6 +7,7 @@
 
 #include "graph/algorithms.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cgnp {
 
@@ -592,6 +593,7 @@ class IncrementalSearcher : public CommunitySearcher {
     (void)g;
     (void)labelled;  // crisp structural membership, no supervision
     (void)options;
+    CGNP_TRACE_SPAN("search");
     QueryResult result;
     result.backend = name_;
     const auto start = std::chrono::steady_clock::now();

@@ -15,6 +15,7 @@
 #include "cs/kecc_community.h"
 #include "cs/ktruss_community.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cgnp {
 
@@ -66,6 +67,7 @@ class ClassicalSearcher : public CommunitySearcher {
                                const std::vector<QueryExample>& labelled,
                                const QueryOptions& options) const override {
     (void)options;
+    CGNP_TRACE_SPAN("search");
     CGNP_RETURN_IF_ERROR(ValidateQueryInput(g, query, labelled));
     QueryResult result;
     result.backend = name_;

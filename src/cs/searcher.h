@@ -38,12 +38,23 @@
 namespace cgnp {
 
 class DynamicCommunityIndex;  // cs/dynamic.h
+namespace serve {
+class ContextCache;  // serve/context_cache.h
+}  // namespace serve
 
 // Per-query knobs, interpreted by the backend.
 struct QueryOptions {
   // Learned backends: membership-probability cut in [0, 1]. Ignored by the
   // classical algorithms (their membership is crisp).
   float threshold = 0.5f;
+  // The serving layer's context-cache slot (set by serve::QueryServer).
+  // When non-null, the learned backend looks up the encoded context under
+  // (graph_id, task fingerprint, graph_version) before encoding and stores
+  // it on a miss -- Algorithm 2's encode-once. Ignored by the classical
+  // algorithms, like `threshold`.
+  serve::ContextCache* cache = nullptr;
+  uint64_t graph_id = 0;
+  uint64_t graph_version = 0;
 };
 
 // One answered community-search query.
@@ -58,6 +69,10 @@ struct QueryResult {
   std::string backend;
   // Wall-clock time spent answering, for per-backend timing stats.
   double elapsed_ms = 0.0;
+  // The query consulted QueryOptions::cache (cache_eligible) and, on
+  // cache_hit, reused the context stored there.
+  bool cache_eligible = false;
+  bool cache_hit = false;
 };
 
 // A community-search backend. Implementations must be safe for concurrent

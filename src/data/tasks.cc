@@ -36,7 +36,8 @@ int64_t AttributeDim(const Graph& g) {
 
 }  // namespace
 
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim) {
+Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim,
+                         bool keep_attributes) {
   const int64_t n = sub.num_nodes();
   const int64_t dim = attribute_dim + 2;
   const std::vector<int64_t> core = CoreNumbers(sub);
@@ -62,7 +63,7 @@ Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim) {
       if (u > v) b.AddEdge(v, u);
     }
   }
-  if (sub.has_attributes()) {
+  if (keep_attributes && sub.has_attributes()) {
     std::vector<std::vector<int32_t>> attrs(n);
     for (NodeId v = 0; v < n; ++v) attrs[v] = sub.Attributes(v);
     b.SetAttributes(std::move(attrs));

@@ -66,8 +66,12 @@ struct TaskSplit {
 // for tests; task factories call it internally. The attribute one-hot block
 // has `attribute_dim` columns (0 for non-attributed datasets); two
 // structural columns (normalised core number, clustering coefficient) are
-// always appended.
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim);
+// always appended. With `keep_attributes` false the result drops the
+// per-node attribute lists, which the feature rows already encode: the
+// query path (BuildQueryTask) feeds the task graph only to the model, so
+// it skips copying -- and later freeing -- one small vector per node.
+Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim,
+                         bool keep_attributes = true);
 
 // Samples one task from `g`: BFS subgraph, queries restricted to
 // communities flagged in `allowed` (empty = all communities allowed).

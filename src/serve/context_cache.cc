@@ -80,7 +80,11 @@ uint64_t TaskFingerprint(const LocalQueryTask& task) {
   return h;
 }
 
-ContextCache::ContextCache(int64_t capacity) : capacity_(capacity) {}
+ContextCache::ContextCache(int64_t capacity) : capacity_(capacity) {
+  // Resolve the process-wide metric handles now, so the first lookup does
+  // not pay the registry.
+  GlobalCacheMetrics();
+}
 
 bool ContextCache::Get(const Key& key, Tensor* out) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -6,10 +6,9 @@
 #include <optional>
 #include <utility>
 
-#include "common/check.h"
+#include "core/cgnp_searcher.h"
 #include "graph/format.h"
 #include "obs/log.h"
-#include "tensor/ops.h"
 #include "tensor/workspace.h"
 
 namespace cgnp {
@@ -38,25 +37,15 @@ StatusOr<std::shared_ptr<const Graph>> OpenMappedGraph(
   return std::make_shared<const Graph>(std::move(g));
 }
 
-QueryServer::QueryServer(const CgnpModel* model,
-                         std::unique_ptr<CommunitySearcher> backend,
-                         std::shared_ptr<const CommunitySearchEngine>
-                             owned_engine,
+QueryServer::QueryServer(std::unique_ptr<CommunitySearcher> backend,
                          ServeOptions options)
-    : model_(model),
-      backend_(std::move(backend)),
-      owned_engine_(std::move(owned_engine)),
+    : backend_(std::move(backend)),
       backend_name_(options.backend),
       options_(std::move(options)),
       cache_(options_.cache_capacity),
       pool_(options_.num_threads),
       latency_reservoir_(static_cast<size_t>(
           std::max<int64_t>(1, options_.latency_reservoir))) {
-  // Private-constructor invariant: Create() is the only caller and always
-  // passes exactly one driver, so this cannot fire on user input.
-  CGNP_CHECK((model_ != nullptr) !=  // NOLINT(cgnp-no-abort): internal invariant of the private ctor; every user path goes through the validating Create()
-             (backend_ != nullptr))
-      << " exactly one of model/backend must drive the server";
   // Resolve the per-backend registry metrics once; recording through the
   // cached pointers is sharded and lock-free.
   auto& reg = obs::MetricsRegistry::Default();
@@ -87,42 +76,18 @@ StatusOr<std::unique_ptr<QueryServer>> QueryServer::Create(
     return InvalidArgumentError("cache_capacity must be >= 0, got " +
                                 std::to_string(options.cache_capacity));
   }
-  // Unknown names fall through to MakeSearcher below, which returns
-  // NotFound listing the registered backends.
-  if (options.backend == "cgnp") {
-    std::shared_ptr<const CommunitySearchEngine> owned;
-    if (engine == nullptr && !options.searcher.checkpoint.empty()) {
-      CGNP_ASSIGN_OR_RETURN(
-          CommunitySearchEngine restored,
-          CommunitySearchEngine::LoadCheckpoint(options.searcher.checkpoint));
-      owned = std::make_shared<const CommunitySearchEngine>(
-          std::move(restored));
-      engine = owned.get();
-    }
-    if (engine == nullptr) {
-      return InvalidArgumentError(
-          "the \"cgnp\" backend needs a trained engine (pass one to "
-          "Create, or set ServeOptions::searcher.checkpoint)");
-    }
-    if (!engine->trained()) {
-      return FailedPreconditionError(
-          "the \"cgnp\" backend needs a trained engine: Fit it or restore "
-          "a trained checkpoint first");
-    }
-    // Inherit the task materialisation parameters from the engine so
-    // served responses are identical to engine.Search.
-    options.tasks = engine->options().tasks;
-    options.attribute_dim = engine->attribute_dim();
-    options.seed = engine->options().seed;
-    return std::unique_ptr<QueryServer>(
-        new QueryServer(engine->model(), /*backend=*/nullptr,
-                        std::move(owned), std::move(options)));
-  }
-  CGNP_ASSIGN_OR_RETURN(auto backend,
-                        MakeSearcher(options.backend, options.searcher));
+  // A passed-in engine is wrapped without a checkpoint round-trip; the
+  // caller keeps it alive, so the shared_ptr does not own it. Everything
+  // else -- classical names, "cgnp" from searcher.checkpoint, unknown
+  // names (NotFound) -- goes through the registry.
+  CGNP_ASSIGN_OR_RETURN(
+      std::unique_ptr<CommunitySearcher> backend,
+      options.backend == "cgnp" && engine != nullptr
+          ? MakeCgnpSearcher(std::shared_ptr<const CommunitySearchEngine>(
+                std::shared_ptr<void>(), engine))
+          : MakeSearcher(options.backend, options.searcher));
   return std::unique_ptr<QueryServer>(
-      new QueryServer(/*model=*/nullptr, std::move(backend),
-                      /*owned_engine=*/nullptr, std::move(options)));
+      new QueryServer(std::move(backend), std::move(options)));
 }
 
 Status QueryServer::AnswerRequest(const SearchRequest& request,
@@ -132,56 +97,20 @@ Status QueryServer::AnswerRequest(const SearchRequest& request,
   }
   QueryOptions query_options;
   query_options.threshold = request.threshold;
-
-  if (backend_ != nullptr) {
-    // Registry backend: it performs the full input validation itself.
-    CGNP_TRACE_SPAN("search");
-    CGNP_ASSIGN_OR_RETURN(
-        QueryResult result,
-        backend_->Search(*request.graph, request.query, request.support,
-                         query_options));
-    resp->members = std::move(result.members);
-    resp->probs = std::move(result.probs);
-    return Status::Ok();
-  }
-
-  // cgnp pipeline with the context cache. NaN fails both comparisons.
-  if (!(request.threshold >= 0.0f && request.threshold <= 1.0f)) {
-    return InvalidArgumentError("threshold must be in [0, 1], got " +
-                                std::to_string(request.threshold));
-  }
-  // Inference never records tape (thread-local switch; see tensor/tensor.h).
-  NoGradGuard no_grad;
+  // The cache slot: the learned backend reuses encoded contexts through
+  // it; the classical backends ignore it.
+  query_options.cache = &cache_;
+  query_options.graph_id = request.graph_id;
+  query_options.graph_version = request.graph_version;
+  // The backend performs the full input validation itself.
   CGNP_ASSIGN_OR_RETURN(
-      LocalQueryTask task,
-      BuildQueryTask(*request.graph, request.query, request.support,
-                     options_.tasks, options_.attribute_dim, options_.seed));
-  if (task.graph.feature_dim() != model_->feature_dim()) {
-    return InvalidArgumentError(
-        "request graph features incompatible with the served model: task "
-        "feature_dim " + std::to_string(task.graph.feature_dim()) +
-        " vs model " + std::to_string(model_->feature_dim()));
-  }
-
-  const ContextCache::Key key{request.graph_id, TaskFingerprint(task),
-                              request.graph_version};
-  resp->cache_eligible = true;  // the cgnp path consults the cache
-  Tensor context;
-  if (cache_.Get(key, &context)) {
-    resp->cache_hit = true;
-  } else {
-    CGNP_TRACE_SPAN("encode");
-    context = model_->TaskContext(task.graph, task.support, nullptr);
-    // Record which parent nodes the context depends on (the task's
-    // subgraph list) so graph updates can invalidate by overlap instead
-    // of flushing the whole graph id.
-    cache_.Put(key, context, task.nodes);
-  }
-
-  // Same decode path as CommunitySearchEngine::Search, so multi-threaded
-  // serving is prediction-identical to single-threaded Search.
-  resp->members = MembersFromContext(*model_, task, context,
-                                     request.threshold, &resp->probs);
+      QueryResult result,
+      backend_->Search(*request.graph, request.query, request.support,
+                       query_options));
+  resp->members = std::move(result.members);
+  resp->probs = std::move(result.probs);
+  resp->cache_eligible = result.cache_eligible;
+  resp->cache_hit = result.cache_hit;
   return Status::Ok();
 }
 

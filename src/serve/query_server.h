@@ -3,16 +3,15 @@
 //
 // Backends are selected by registry name (ServeOptions::backend): the
 // learned "cgnp" engine or any classical adapter ("kcore", "ktruss",
-// "acq", ... -- see cs/searcher.h). The cgnp serving pipeline per request
-// mirrors CommunitySearchEngine::Search exactly (both build queries
-// through BuildQueryTask with the same seed), so a multi-threaded server
-// returns results identical to single-threaded Search. On top of that it
-// adds:
-//   * a context cache (see context_cache.h): repeated queries against the
-//     same community reuse one encoder pass -- the paper's Algorithm 2
-//     asymmetry (encode support once, decode queries cheaply) made explicit
-//     at the system level (cgnp backend only; classical answers are cheap
-//     and stateless);
+// "acq", ... -- see cs/searcher.h). Every request, whatever the backend,
+// is one CommunitySearcher::Search call; for cgnp that is
+// CommunitySearchEngine::Query, so a multi-threaded server returns results
+// identical to single-threaded Query. On top of that it adds:
+//   * a context cache (see context_cache.h), handed to the backend as the
+//     QueryOptions cache slot: repeated queries against the same community
+//     reuse one encoder pass -- the paper's Algorithm 2 asymmetry (encode
+//     support once, decode queries cheaply) made explicit at the system
+//     level (cgnp backend only; classical answers are cheap and stateless);
 //   * a worker pool: every request runs under a thread-local NoGradGuard
 //     against an eval-mode model, the regime core/cgnp.h documents as safe
 //     for concurrent const access;
@@ -94,12 +93,12 @@ struct SearchResponse {
   float threshold = 0.5f;
   double latency_ms = 0.0;
   bool cache_hit = false;  // context served from the cache (cgnp only)
-  // The request consulted the context cache (cgnp model path reached the
+  // The request consulted the context cache (the cgnp backend reached the
   // lookup). Classical backends never do; this is the honest hit-rate
   // denominator in ServerStats.
   bool cache_eligible = false;
   // Per-request stage-timing tree (pre-order; depth 0 = top-level stage:
-  // task_build / encode / decode for the cgnp path, search for registry
+  // task_build / encode / decode for cgnp, search for the classical
   // backends). Cache hits have no "encode" stage -- the paper's
   // Algorithm 2 asymmetry, visible per response. Empty when the obs layer
   // is disabled (compile-time CGNP_OBS=OFF or runtime obs::SetEnabled).
@@ -157,8 +156,8 @@ bench::Json ServerStatsToJson(const ServerStats& stats);
 
 struct ServeOptions {
   // Backend registry name (cs/searcher.h). "cgnp" serves the engine passed
-  // to Create / the engine constructor (or a checkpoint via
-  // `searcher.checkpoint`); classical names need no engine at all.
+  // to Create (or a checkpoint via `searcher.checkpoint`); classical names
+  // need no engine at all.
   std::string backend = "cgnp";
   // Construction knobs forwarded to the backend factory (classical k,
   // cgnp checkpoint path, ...).
@@ -166,14 +165,6 @@ struct ServeOptions {
   int num_threads = 4;
   // Max cached contexts; 0 disables the cache (every request re-encodes).
   int64_t cache_capacity = 256;
-  // Task materialisation parameters -- must match the values the model was
-  // trained under for the subgraph distribution to be in-distribution.
-  // (cgnp backend only; Create fills them from the engine.)
-  TaskConfig tasks;
-  int64_t attribute_dim = 0;
-  // Seed for the deterministic BFS task sampling; use the engine's seed to
-  // make server responses identical to engine.Search.
-  uint64_t seed = 7;
   // Size of the bounded latency reservoir behind the Stats() percentiles
   // (most recent N requests). Counters and min/max always cover the whole
   // window regardless.
@@ -197,10 +188,9 @@ class QueryServer {
  public:
   // Status-returning construction with backend selection -- the v1 entry
   // point. For backend "cgnp", `engine` must be a trained engine that
-  // outlives the server (or ServeOptions::searcher.checkpoint must name an
-  // engine checkpoint, which the server restores and owns); task config,
-  // attribute dim and seed are inherited from it for Search parity.
-  // Classical backends ignore `engine`. Unknown names return NotFound.
+  // outlives the server; with a null `engine`, the registry restores the
+  // one ServeOptions::searcher.checkpoint names. Classical backends ignore
+  // `engine`. Unknown names return NotFound.
   static StatusOr<std::unique_ptr<QueryServer>> Create(
       const CommunitySearchEngine* engine, ServeOptions options);
 
@@ -237,25 +227,18 @@ class QueryServer {
   ContextCache& cache() { return cache_; }
 
  private:
-  QueryServer(const CgnpModel* model,
-              std::unique_ptr<CommunitySearcher> backend,
-              std::shared_ptr<const CommunitySearchEngine> owned_engine,
+  QueryServer(std::unique_ptr<CommunitySearcher> backend,
               ServeOptions options);
 
   SearchResponse ServeOne(const SearchRequest& request);
-  // The backend dispatch: fills members/probs/cache_hit, returns the
-  // request outcome.
+  // One backend Search with this server's cache slot: fills
+  // members/probs/cache flags, returns the request outcome.
   Status AnswerRequest(const SearchRequest& request, SearchResponse* resp);
   // Folds one request's depth-0 spans into the per-server stage
   // histograms (and the global per-backend/per-stage registry metrics).
   void RecordStages(const std::vector<obs::StageTiming>& stages);
 
-  // Exactly one of model_ / backend_ drives AnswerRequest: model_ for the
-  // cached cgnp pipeline, backend_ for registry backends.
-  const CgnpModel* model_ = nullptr;
-  std::unique_ptr<CommunitySearcher> backend_;
-  // Keeps a checkpoint-restored engine alive when the server owns it.
-  std::shared_ptr<const CommunitySearchEngine> owned_engine_;
+  const std::unique_ptr<CommunitySearcher> backend_;
   std::string backend_name_;
   const ServeOptions options_;
   ContextCache cache_;

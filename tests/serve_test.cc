@@ -1,6 +1,7 @@
 #include "serve/query_server.h"
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <set>
 
@@ -376,20 +377,36 @@ TEST(QueryServerBackendTest, ClassicalBackendsMatchDirectCalls) {
 TEST(QueryServerBackendTest, CgnpViaCreateMatchesEngineSearch) {
   Graph g = PlantedGraph();
   CommunitySearchEngine engine = TrainedEngine(g);
-  serve::ServeOptions opt;
-  opt.backend = "cgnp";
-  opt.num_threads = 2;
-  auto server = QueryServer::Create(&engine, opt);
-  ASSERT_TRUE(server.ok()) << server.status();
+  const QueryResult direct = engine.Query(g, 23).value();
+  const std::string ckpt = ::testing::TempDir() + "serve_cgnp_engine.ckpt";
+  ASSERT_TRUE(engine.SaveCheckpoint(ckpt).ok());
 
-  SearchRequest req;
-  req.graph = &g;
-  req.graph_id = 1;
-  req.query = 23;
-  const SearchResponse resp = (*server)->Serve(req);
-  ASSERT_TRUE(resp.status.ok()) << resp.status;
-  EXPECT_EQ(resp.backend, "cgnp");
-  EXPECT_EQ(resp.members, engine.Search(g, 23).value());
+  // The caller's engine, then no engine: the registry restores the
+  // checkpoint. Both serve through engine.Query plus the server's cache.
+  for (bool from_checkpoint : {false, true}) {
+    serve::ServeOptions opt;
+    opt.backend = "cgnp";
+    opt.num_threads = 2;
+    if (from_checkpoint) opt.searcher.checkpoint = ckpt;
+    auto server =
+        QueryServer::Create(from_checkpoint ? nullptr : &engine, opt);
+    ASSERT_TRUE(server.ok()) << server.status();
+
+    SearchRequest req;
+    req.graph = &g;
+    req.graph_id = 1;
+    req.query = 23;
+    for (bool expect_hit : {false, true}) {
+      const SearchResponse resp = (*server)->Serve(req);
+      ASSERT_TRUE(resp.status.ok()) << resp.status;
+      EXPECT_EQ(resp.backend, "cgnp");
+      EXPECT_EQ(resp.members, direct.members);
+      EXPECT_EQ(resp.probs, direct.probs);  // exact float equality
+      EXPECT_TRUE(resp.cache_eligible);
+      EXPECT_EQ(resp.cache_hit, expect_hit);
+    }
+  }
+  std::remove(ckpt.c_str());
 }
 
 // --- Error paths: malformed requests never abort the server ----------------
