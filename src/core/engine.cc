@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -18,15 +17,6 @@
 namespace cgnp {
 
 namespace {
-
-int64_t AttributeDimOf(const Graph& g) {
-  if (!g.has_attributes()) return 0;
-  int32_t mx = -1;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int32_t a : g.Attributes(v)) mx = std::max(mx, a);
-  }
-  return mx + 1;
-}
 
 constexpr uint32_t kEngineMagic = 0x4347454Eu;  // "CGEN"
 constexpr uint32_t kEngineVersion = 1;
@@ -51,9 +41,8 @@ StatusOr<LocalQueryTask> BuildQueryTask(
   out.nodes = BfsSample(g, query, tasks.subgraph_size, &rng);
   // The query (BFS seed) is nodes[0]; map ids.
   std::vector<NodeId> new_of_old;
-  Graph sub = InducedSubgraph(g, out.nodes, &new_of_old);
-  out.graph = AttachTaskFeatures(sub, attribute_dim,
-                                 /*keep_attributes=*/false);
+  out.graph = AttachTaskFeatures(InducedSubgraph(g, out.nodes, &new_of_old),
+                                 attribute_dim);
   out.query = new_of_old[query];
 
   // Remap user-provided support observations into the task subgraph.
@@ -112,7 +101,7 @@ Status CommunitySearchEngine::Fit(const Graph& g) {
         "Fit needs ground-truth communities on the graph");
   }
   Rng rng(options_.seed);
-  attribute_dim_ = AttributeDimOf(g);
+  attribute_dim_ = AttributeDim(g);
   std::vector<CsTask> train;
   for (int64_t i = 0; i < options_.num_train_tasks; ++i) {
     CsTask t;

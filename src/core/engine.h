@@ -35,8 +35,7 @@ class Histogram;  // obs/metrics.h
 // to the parent graph's ids. CommunitySearchEngine::Query builds every
 // cgnp query through this, served ones included.
 struct LocalQueryTask {
-  // Feature-attached task subgraph. It carries no per-node attribute
-  // lists: the attribute one-hot columns of its features encode them.
+  // Feature-attached task subgraph (AttachTaskFeatures).
   Graph graph;
   std::vector<NodeId> nodes;    // local id -> parent graph id
   NodeId query = -1;            // local id of the query node

@@ -15,7 +15,7 @@ std::vector<NodeId> FeasibleCommunity(const Graph& g, NodeId q, int64_t k,
                                       const std::vector<int32_t>& attrs) {
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& av = g.Attributes(v);
+    const auto av = g.Attributes(v);
     bool all = true;
     for (int32_t a : attrs) {
       if (!std::binary_search(av.begin(), av.end(), a)) {
@@ -43,7 +43,7 @@ std::vector<NodeId> AttributedCommunityQuery(const Graph& g, NodeId q,
   CGNP_CHECK_GE(q, 0);  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   CGNP_CHECK_LT(q, g.num_nodes());  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   if (!g.has_attributes()) return {};
-  const std::vector<int32_t>& q_attrs = g.Attributes(q);
+  const auto q_attrs = g.Attributes(q);
   if (q_attrs.empty()) return {};
 
   // Pass 1: feasible single attributes.

@@ -14,7 +14,7 @@ double AtcAttributeScore(const Graph& g, const std::vector<NodeId>& members,
   for (int32_t w : query_attrs) {
     int64_t count = 0;
     for (NodeId v : members) {
-      const auto& av = g.Attributes(v);
+      const auto av = g.Attributes(v);
       if (std::binary_search(av.begin(), av.end(), w)) ++count;
     }
     score += static_cast<double>(count) * static_cast<double>(count) /
@@ -27,7 +27,8 @@ std::vector<NodeId> AttributedTrussCommunity(const Graph& g, NodeId q,
                                              const AtcConfig& config) {
   CGNP_CHECK_GE(q, 0);  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
   CGNP_CHECK_LT(q, g.num_nodes());  // NOLINT(cgnp-no-abort): validated precondition -- the registry adapter's ValidateQueryInput rejects this with Status before dispatch
-  const std::vector<int32_t> query_attrs = g.Attributes(q);
+  const auto q_attrs = g.Attributes(q);
+  const std::vector<int32_t> query_attrs(q_attrs.begin(), q_attrs.end());
 
   // Step 1: restrict to the d-hop ball around q.
   const auto dist = BfsDistances(g, q);
@@ -63,7 +64,7 @@ std::vector<NodeId> AttributedTrussCommunity(const Graph& g, NodeId q,
     int64_t worst_overlap = INT64_MAX;
     for (NodeId v : current) {
       if (v == q) continue;
-      const auto& av = g.Attributes(v);
+      const auto av = g.Attributes(v);
       int64_t overlap = 0;
       for (int32_t w : query_attrs) {
         if (std::binary_search(av.begin(), av.end(), w)) ++overlap;

@@ -1,6 +1,7 @@
 #include "data/tasks.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "graph/algorithms.h"
@@ -22,22 +23,13 @@ const char* TaskRegimeName(TaskRegime r) {
   return "?";
 }
 
-namespace {
-
-// Smallest one-hot width that covers every attribute id in g.
 int64_t AttributeDim(const Graph& g) {
-  if (!g.has_attributes()) return 0;
   int32_t mx = -1;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int32_t a : g.Attributes(v)) mx = std::max(mx, a);
-  }
+  for (int32_t a : g.attr_ids()) mx = std::max(mx, a);
   return mx + 1;
 }
 
-}  // namespace
-
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim,
-                         bool keep_attributes) {
+Graph AttachTaskFeatures(Graph sub, int64_t attribute_dim) {
   const int64_t n = sub.num_nodes();
   const int64_t dim = attribute_dim + 2;
   const std::vector<int64_t> core = CoreNumbers(sub);
@@ -56,24 +48,7 @@ Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim,
         static_cast<float>(core[v]) / static_cast<float>(max_core);
     row[attribute_dim + 1] = static_cast<float>(lcc[v]);
   }
-
-  GraphBuilder b(n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId u : sub.Neighbors(v)) {
-      if (u > v) b.AddEdge(v, u);
-    }
-  }
-  if (keep_attributes && sub.has_attributes()) {
-    std::vector<std::vector<int32_t>> attrs(n);
-    for (NodeId v = 0; v < n; ++v) attrs[v] = sub.Attributes(v);
-    b.SetAttributes(std::move(attrs));
-  }
-  if (sub.has_communities()) {
-    const auto comm = sub.communities();
-    b.SetCommunities({comm.begin(), comm.end()});
-  }
-  b.SetFeatures(dim, std::move(feats));
-  return b.Build();
+  return std::move(sub).WithFeatures(dim, std::move(feats));
 }
 
 bool SampleTask(const Graph& g, const TaskConfig& cfg,
@@ -154,7 +129,7 @@ bool SampleTask(const Graph& g, const TaskConfig& cfg,
     for (int64_t i = 0; i < num_query; ++i) {
       out->query.push_back(make_example(eligible[cfg.shots + i]));
     }
-    out->graph = AttachTaskFeatures(sub, attribute_dim);
+    out->graph = AttachTaskFeatures(std::move(sub), attribute_dim);
     return true;
   }
   return false;

@@ -62,16 +62,16 @@ struct TaskSplit {
   std::vector<CsTask> test;
 };
 
-// Rebuilds `sub` with the Section VII-A feature matrix attached. Exposed
-// for tests; task factories call it internally. The attribute one-hot block
-// has `attribute_dim` columns (0 for non-attributed datasets); two
-// structural columns (normalised core number, clustering coefficient) are
-// always appended. With `keep_attributes` false the result drops the
-// per-node attribute lists, which the feature rows already encode: the
-// query path (BuildQueryTask) feeds the task graph only to the model, so
-// it skips copying -- and later freeing -- one small vector per node.
-Graph AttachTaskFeatures(const Graph& sub, int64_t attribute_dim,
-                         bool keep_attributes = true);
+// Smallest one-hot width that covers every attribute id in g: the largest
+// id + 1, or 0 when g carries no attributes.
+int64_t AttributeDim(const Graph& g);
+
+// Returns the vector-backed `sub` with the Section VII-A feature matrix
+// attached and everything else unchanged (no rebuild; callers done with
+// `sub` move it in). The attribute one-hot block has `attribute_dim`
+// columns (0 for non-attributed datasets); two structural columns
+// (normalised core number, clustering coefficient) are always appended.
+Graph AttachTaskFeatures(Graph sub, int64_t attribute_dim);
 
 // Samples one task from `g`: BFS subgraph, queries restricted to
 // communities flagged in `allowed` (empty = all communities allowed).

@@ -180,9 +180,9 @@ Graph GraphDelta::Compact() const {
     b.SetFeatures(base_->feature_dim(), std::vector<float>(f.begin(), f.end()));
   }
   if (base_->has_attributes()) {
-    std::vector<std::vector<int32_t>> attrs(static_cast<size_t>(n));
-    for (NodeId v = 0; v < n; ++v) attrs[v] = base_->Attributes(v);
-    b.SetAttributes(std::move(attrs));
+    const auto ap = base_->attr_ptr();
+    const auto ids = base_->attr_ids();
+    b.SetAttributes({ap.begin(), ap.end()}, {ids.begin(), ids.end()});
   }
   if (base_->has_communities()) {
     const auto c = base_->communities();

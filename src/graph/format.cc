@@ -65,7 +65,6 @@ struct ParsedGraphFile {
   std::span<const int64_t> attr_ptr;
   std::span<const int32_t> attr_ids;
   std::span<const int64_t> communities;
-  bool has_attrs = false;
   bool has_comms = false;
   uint64_t fingerprint = 0;
 };
@@ -204,7 +203,6 @@ Status ParseGraphFile(const uint8_t* data, size_t size, bool verify_checksums,
         break;
       case kIdAttrPtr:
         p.attr_ptr = {reinterpret_cast<const int64_t*>(base), n + 1};
-        p.has_attrs = true;
         break;
       case kIdAttrIds:
         p.attr_ids = {reinterpret_cast<const int32_t*>(base), h.num_attr_ids};
@@ -248,7 +246,7 @@ Status ParseGraphFile(const uint8_t* data, size_t size, bool verify_checksums,
       prev = u;
     }
   }
-  if (p.has_attrs) {
+  if (!p.attr_ptr.empty()) {
     if (p.attr_ptr[0] != 0) return Corrupt("attr_ptr[0] != 0");
     for (uint64_t v = 0; v < n; ++v) {
       if (p.attr_ptr[v + 1] < p.attr_ptr[v]) {
@@ -282,18 +280,6 @@ Status ParseGraphFile(const uint8_t* data, size_t size, bool verify_checksums,
   return Status::Ok();
 }
 
-std::vector<std::vector<int32_t>> MaterialiseAttrs(const ParsedGraphFile& p) {
-  std::vector<std::vector<int32_t>> attrs;
-  if (!p.has_attrs) return attrs;
-  const uint64_t n = p.header.num_nodes;
-  attrs.resize(n);
-  for (uint64_t v = 0; v < n; ++v) {
-    attrs[v].assign(p.attr_ids.begin() + p.attr_ptr[v],
-                    p.attr_ids.begin() + p.attr_ptr[v + 1]);
-  }
-  return attrs;
-}
-
 }  // namespace
 
 // Friend of Graph: the only code that assembles Graphs from parsed
@@ -307,10 +293,9 @@ class GraphFormatAccess {
     g.col_idx_.assign(p.col_idx.begin(), p.col_idx.end());
     g.feature_dim_ = static_cast<int64_t>(p.header.feature_dim);
     g.features_.assign(p.features.begin(), p.features.end());
-    g.attrs_ = MaterialiseAttrs(p);
-    if (p.has_comms) {
-      g.community_.assign(p.communities.begin(), p.communities.end());
-    }
+    g.attr_ptr_.assign(p.attr_ptr.begin(), p.attr_ptr.end());
+    g.attr_ids_.assign(p.attr_ids.begin(), p.attr_ids.end());
+    g.community_.assign(p.communities.begin(), p.communities.end());
     g.storage_fingerprint_ = p.fingerprint;
     return g;
   }
@@ -325,7 +310,8 @@ class GraphFormatAccess {
     g.col_idx_view_ = p.col_idx;
     g.feature_dim_ = static_cast<int64_t>(p.header.feature_dim);
     g.features_view_ = p.features;
-    g.attrs_ = MaterialiseAttrs(p);  // ragged; small next to the CSR
+    g.attr_ptr_view_ = p.attr_ptr;
+    g.attr_ids_view_ = p.attr_ids;
     g.community_view_ = p.communities;
     g.storage_fingerprint_ = p.fingerprint;
     return g;
@@ -333,22 +319,11 @@ class GraphFormatAccess {
 };
 
 Status SaveGraphBinary(const Graph& g, const std::string& path) {
-  // Flatten the ragged attribute sets into attribute CSR.
-  std::vector<int64_t> attr_ptr;
-  std::vector<int32_t> attr_ids;
-  if (g.has_attributes()) {
-    attr_ptr.reserve(g.num_nodes() + 1);
-    attr_ptr.push_back(0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto& a = g.Attributes(v);
-      attr_ids.insert(attr_ids.end(), a.begin(), a.end());
-      attr_ptr.push_back(static_cast<int64_t>(attr_ids.size()));
-    }
-  }
-
   const auto row_ptr = g.row_ptr();
   const auto col_idx = g.col_idx();
   const auto features = g.features();
+  const auto attr_ptr = g.attr_ptr();
+  const auto attr_ids = g.attr_ids();
   const auto communities = g.communities();
 
   FileHeader h;
@@ -371,10 +346,8 @@ Status SaveGraphBinary(const Graph& g, const std::string& path) {
     payloads.push_back({kIdFeatures, features.data(), features.size_bytes()});
   }
   if (g.has_attributes()) {
-    payloads.push_back({kIdAttrPtr, attr_ptr.data(),
-                        attr_ptr.size() * sizeof(int64_t)});
-    payloads.push_back({kIdAttrIds, attr_ids.data(),
-                        attr_ids.size() * sizeof(int32_t)});
+    payloads.push_back({kIdAttrPtr, attr_ptr.data(), attr_ptr.size_bytes()});
+    payloads.push_back({kIdAttrIds, attr_ids.data(), attr_ids.size_bytes()});
   }
   if (g.has_communities()) {
     payloads.push_back({kIdCommunities, communities.data(),
@@ -489,7 +462,7 @@ StatusOr<GraphFileInfo> ReadGraphFileInfo(const std::string& path) {
   info.num_directed_edges = parsed.header.num_directed_edges;
   info.feature_dim = parsed.header.feature_dim;
   info.num_attr_ids = parsed.header.num_attr_ids;
-  info.has_attributes = parsed.has_attrs;
+  info.has_attributes = !parsed.attr_ptr.empty();
   info.has_communities = parsed.has_comms;
   info.file_bytes = bytes;
   info.fingerprint = parsed.fingerprint;

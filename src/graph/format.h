@@ -105,9 +105,8 @@ struct MapOptions {
 };
 
 // Mapping load: full validation, then a Graph whose CSR / feature /
-// community spans point into the read-only mapping (kMapped backing).
-// Ragged attribute sets are materialised (they are small); everything
-// else stays on the file's pages.
+// attribute / community spans all point into the read-only mapping
+// (kMapped backing); nothing is materialised.
 StatusOr<Graph> MapGraphBinary(const std::string& path,
                                const MapOptions& options = {});
 

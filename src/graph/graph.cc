@@ -4,11 +4,32 @@
 #include <cmath>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
 
 namespace cgnp {
+
+namespace {
+
+// Attribute CSR of the sets set(0), ..., set(n - 1), in two allocations.
+template <typename SetOf>
+std::pair<std::vector<int64_t>, std::vector<int32_t>> FlattenAttributes(
+    size_t n, SetOf set) {
+  std::vector<int64_t> ptr(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ptr[i + 1] = ptr[i] + static_cast<int64_t>(set(i).size());
+  }
+  std::vector<int32_t> ids;
+  ids.reserve(static_cast<size_t>(ptr[n]));
+  for (size_t i = 0; i < n; ++i) {
+    ids.insert(ids.end(), set(i).begin(), set(i).end());
+  }
+  return {std::move(ptr), std::move(ids)};
+}
+
+}  // namespace
 
 Status CheckNodeId(const Graph& g, NodeId v, const char* what) {
   if (v < 0 || v >= g.num_nodes()) {
@@ -29,12 +50,6 @@ Tensor Graph::FeatureTensor() const {
   const auto f = features();
   return Tensor::FromVector({num_nodes_, feature_dim_},
                             std::vector<float>(f.begin(), f.end()));
-}
-
-const std::vector<int32_t>& Graph::Attributes(NodeId v) const {
-  static const std::vector<int32_t> kEmpty;
-  if (attrs_.empty()) return kEmpty;
-  return attrs_[v];
 }
 
 int64_t Graph::num_communities() const {
@@ -144,6 +159,14 @@ const Graph::EdgeIndex& Graph::AttentionEdges() const {
   return attn_edges_;
 }
 
+Graph Graph::WithFeatures(int64_t dim, std::vector<float> features) && {
+  CGNP_CHECK(!mapping_) << " WithFeatures needs a vector-backed graph";
+  CGNP_CHECK_EQ(static_cast<int64_t>(features.size()), num_nodes_ * dim);
+  feature_dim_ = dim;
+  features_ = std::move(features);
+  return std::move(*this);
+}
+
 GraphBuilder::GraphBuilder(int64_t num_nodes) : num_nodes_(num_nodes) {
   CGNP_CHECK_GE(num_nodes, 0);
 }
@@ -163,9 +186,23 @@ void GraphBuilder::SetFeatures(int64_t dim, std::vector<float> features) {
 }
 
 void GraphBuilder::SetAttributes(std::vector<std::vector<int32_t>> attrs) {
-  CGNP_CHECK_EQ(static_cast<int64_t>(attrs.size()), num_nodes_);
-  attrs_ = std::move(attrs);
-  for (auto& a : attrs_) std::sort(a.begin(), a.end());
+  auto [ptr, ids] = FlattenAttributes(
+      attrs.size(), [&](size_t v) -> const auto& { return attrs[v]; });
+  SetAttributes(std::move(ptr), std::move(ids));
+}
+
+void GraphBuilder::SetAttributes(std::vector<int64_t> attr_ptr,
+                                 std::vector<int32_t> attr_ids) {
+  CGNP_CHECK_EQ(static_cast<int64_t>(attr_ptr.size()), num_nodes_ + 1);
+  CGNP_CHECK_EQ(attr_ptr.front(), 0);
+  CGNP_CHECK_EQ(attr_ptr.back(), static_cast<int64_t>(attr_ids.size()));
+  for (int64_t v = 0; v < num_nodes_; ++v) {
+    CGNP_CHECK_LE(attr_ptr[v], attr_ptr[v + 1]);
+    std::sort(attr_ids.begin() + attr_ptr[v],
+              attr_ids.begin() + attr_ptr[v + 1]);
+  }
+  attr_ptr_ = std::move(attr_ptr);
+  attr_ids_ = std::move(attr_ids);
 }
 
 void GraphBuilder::SetCommunities(std::vector<int64_t> community) {
@@ -225,7 +262,8 @@ Graph GraphBuilder::Build() {
   });
   g.feature_dim_ = feature_dim_;
   g.features_ = std::move(features_);
-  g.attrs_ = std::move(attrs_);
+  g.attr_ptr_ = std::move(attr_ptr_);
+  g.attr_ids_ = std::move(attr_ids_);
   g.community_ = std::move(community_);
   return g;
 }
@@ -256,9 +294,9 @@ Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
     b.SetFeatures(d, std::move(feats));
   }
   if (g.has_attributes()) {
-    std::vector<std::vector<int32_t>> attrs(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) attrs[i] = g.Attributes(nodes[i]);
-    b.SetAttributes(std::move(attrs));
+    auto [ptr, ids] = FlattenAttributes(
+        nodes.size(), [&](size_t i) { return g.Attributes(nodes[i]); });
+    b.SetAttributes(std::move(ptr), std::move(ids));
   }
   if (g.has_communities()) {
     std::vector<int64_t> comm(nodes.size());

@@ -5,9 +5,10 @@
 //     directions; no self loops; no parallel edges),
 //   * optional dense node features (row-major n x d floats) used as GNN
 //     inputs,
-//   * optional discrete attribute-id sets per node (used by the attributed
-//     community-search algorithms ACQ and ATC, mirroring the paper's one-hot
-//     attribute vectors A(v)),
+//   * optional discrete attribute-id sets per node, as a second CSR
+//     (attr_ptr / attr_ids; used by the attributed community-search
+//     algorithms ACQ and ATC, mirroring the paper's one-hot attribute
+//     vectors A(v)),
 //   * optional ground-truth community labels (community id per node, -1 if
 //     unlabelled) used by the dataset substrate to derive training samples.
 //
@@ -16,7 +17,7 @@
 // rely on sorted adjacency for O(deg) set intersections.
 //
 // Storage backing. A Graph is a *view over storage*: the CSR arrays (and
-// the dense feature / community arrays) are exposed as spans which are
+// the dense feature / attribute / community arrays) are exposed as spans
 // backed either by owned heap vectors (GraphBuilder::Build, the loaders'
 // copying path) or by a read-only memory-mapped graph container
 // (graph/format.h, MapGraphBinary) -- million-node graphs then load in
@@ -109,9 +110,22 @@ class Graph {
   }
 
   // --- Discrete attributes (for ACQ / ATC) ----------------------------------
-  bool has_attributes() const { return !attrs_.empty(); }
+  // Attribute CSR (the container's layout): node v's sorted ids are
+  // attr_ids()[attr_ptr()[v], attr_ptr()[v + 1]); attr_ptr() is empty
+  // when the graph carries no attributes.
+  bool has_attributes() const { return attr_ptr().size() > 1; }
   // Sorted attribute ids of node v (empty when absent).
-  const std::vector<int32_t>& Attributes(NodeId v) const;
+  std::span<const int32_t> Attributes(NodeId v) const {
+    if (!has_attributes()) return {};
+    const auto ap = attr_ptr();
+    return attr_ids().subspan(ap[v], static_cast<size_t>(ap[v + 1] - ap[v]));
+  }
+  std::span<const int64_t> attr_ptr() const {
+    return mapping_ ? attr_ptr_view_ : std::span<const int64_t>(attr_ptr_);
+  }
+  std::span<const int32_t> attr_ids() const {
+    return mapping_ ? attr_ids_view_ : std::span<const int32_t>(attr_ids_);
+  }
 
   // --- Ground-truth communities ---------------------------------------------
   bool has_communities() const { return !communities().empty(); }
@@ -140,6 +154,10 @@ class Graph {
   };
   const EdgeIndex& AttentionEdges() const;
 
+  // Consumes this vector-backed graph and returns it with its dense feature
+  // matrix (row-major num_nodes x dim) replaced; nothing else changes.
+  Graph WithFeatures(int64_t dim, std::vector<float> features) &&;
+
  private:
   friend class GraphBuilder;
   // Binary container load paths (graph/format.cc): the only code that may
@@ -152,18 +170,20 @@ class Graph {
 
   int64_t feature_dim_ = 0;
   std::vector<float> features_;
-  std::vector<std::vector<int32_t>> attrs_;
+  std::vector<int64_t> attr_ptr_;
+  std::vector<int32_t> attr_ids_;
   std::vector<int64_t> community_;
 
   // Mapped backing: when mapping_ is set, the *_view_ spans point into the
-  // mapping and the owned vectors above stay empty (attrs_ excepted -- the
-  // ragged attribute sets are materialised on load either way). The views
-  // reference the file's pages, not this object, so Graph copies stay
-  // valid and cheap (they bump the mapping's refcount).
+  // mapping and the owned vectors above stay empty. The views reference
+  // the file's pages, not this object, so Graph copies stay valid and
+  // cheap (they bump the mapping's refcount).
   std::shared_ptr<const MappedFile> mapping_;
   std::span<const int64_t> row_ptr_view_;
   std::span<const NodeId> col_idx_view_;
   std::span<const float> features_view_;
+  std::span<const int64_t> attr_ptr_view_;
+  std::span<const int32_t> attr_ids_view_;
   std::span<const int64_t> community_view_;
   uint64_t storage_fingerprint_ = 0;
 
@@ -196,8 +216,13 @@ class GraphBuilder {
 
   // Dense feature matrix, row-major num_nodes x dim.
   void SetFeatures(int64_t dim, std::vector<float> features);
-  // Discrete attribute ids per node (will be sorted).
+  // Discrete attribute ids per node (will be sorted), flattened into
+  // attribute CSR at once, so the ragged input is freed before Build.
   void SetAttributes(std::vector<std::vector<int32_t>> attrs);
+  // The same as CSR: attr_ptr runs from 0 to attr_ids.size() in
+  // num_nodes + 1 entries.
+  void SetAttributes(std::vector<int64_t> attr_ptr,
+                     std::vector<int32_t> attr_ids);
   // Ground-truth community id per node (-1 = unlabelled).
   void SetCommunities(std::vector<int64_t> community);
 
@@ -210,7 +235,8 @@ class GraphBuilder {
   std::vector<std::pair<NodeId, NodeId>> edges_;
   int64_t feature_dim_ = 0;
   std::vector<float> features_;
-  std::vector<std::vector<int32_t>> attrs_;
+  std::vector<int64_t> attr_ptr_;
+  std::vector<int32_t> attr_ids_;
   std::vector<int64_t> community_;
 };
 

@@ -1,10 +1,36 @@
 #include "graph/sampling.h"
 
-#include <deque>
-
 #include "common/check.h"
 
 namespace cgnp {
+
+namespace {
+
+// BFS from `start`, appending nodes to `out` in visiting order until it
+// holds `max_nodes` or the component runs out. `out` doubles as the FIFO
+// queue: entries past `head` are discovered but not yet visited, and are
+// dropped at the end. Neighbour lists are shuffled in one reused buffer.
+void ExpandBfs(const Graph& g, NodeId start, int64_t max_nodes, Rng* rng,
+               std::vector<char>* seen, std::vector<NodeId>* out) {
+  std::vector<NodeId> nbrs;
+  size_t head = out->size();
+  (*seen)[start] = 1;
+  out->push_back(start);
+  while (head < out->size() && static_cast<int64_t>(head) < max_nodes) {
+    const auto nb = g.Neighbors((*out)[head++]);
+    nbrs.assign(nb.begin(), nb.end());
+    rng->Shuffle(&nbrs);
+    for (NodeId u : nbrs) {
+      if (!(*seen)[u]) {
+        (*seen)[u] = 1;
+        out->push_back(u);
+      }
+    }
+  }
+  out->resize(head);
+}
+
+}  // namespace
 
 std::vector<NodeId> BfsSample(const Graph& g, NodeId seed, int64_t max_nodes,
                               Rng* rng) {
@@ -13,22 +39,7 @@ std::vector<NodeId> BfsSample(const Graph& g, NodeId seed, int64_t max_nodes,
   CGNP_CHECK_GT(max_nodes, 0);
   std::vector<char> seen(g.num_nodes(), 0);
   std::vector<NodeId> out;
-  std::deque<NodeId> frontier;
-  seen[seed] = 1;
-  frontier.push_back(seed);
-  while (!frontier.empty() && static_cast<int64_t>(out.size()) < max_nodes) {
-    const NodeId v = frontier.front();
-    frontier.pop_front();
-    out.push_back(v);
-    std::vector<NodeId> nbrs(g.Neighbors(v).begin(), g.Neighbors(v).end());
-    rng->Shuffle(&nbrs);
-    for (NodeId u : nbrs) {
-      if (!seen[u]) {
-        seen[u] = 1;
-        frontier.push_back(u);
-      }
-    }
-  }
+  ExpandBfs(g, seed, max_nodes, rng, &seen, &out);
   return out;
 }
 
@@ -56,22 +67,7 @@ std::vector<NodeId> BfsSampleWithRestarts(const Graph& g, NodeId seed,
       if (candidate == -1) break;  // whole graph sampled
       start = candidate;
     }
-    std::deque<NodeId> frontier;
-    seen[start] = 1;
-    frontier.push_back(start);
-    while (!frontier.empty() && static_cast<int64_t>(out.size()) < max_nodes) {
-      const NodeId v = frontier.front();
-      frontier.pop_front();
-      out.push_back(v);
-      std::vector<NodeId> nbrs(g.Neighbors(v).begin(), g.Neighbors(v).end());
-      rng->Shuffle(&nbrs);
-      for (NodeId u : nbrs) {
-        if (!seen[u]) {
-          seen[u] = 1;
-          frontier.push_back(u);
-        }
-      }
-    }
+    ExpandBfs(g, start, max_nodes, rng, &seen, &out);
   }
   return out;
 }

@@ -27,14 +27,6 @@ Graph PlantedGraph(uint64_t seed = 1) {
   return GenerateSyntheticGraph(cfg, &rng);
 }
 
-int64_t AttributeDimOf(const Graph& g) {
-  int32_t mx = -1;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (int32_t a : g.Attributes(v)) mx = std::max(mx, a);
-  }
-  return mx + 1;
-}
-
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + name;
 }
@@ -125,7 +117,7 @@ TEST(Checkpoint, TaskConfigRoundTrip) {
 
 TEST(Checkpoint, ModelRoundTripBitwiseIdenticalPredictions) {
   Graph g = PlantedGraph();
-  const int64_t attr_dim = AttributeDimOf(g);
+  const int64_t attr_dim = AttributeDim(g);
 
   TaskConfig task_cfg;
   task_cfg.subgraph_size = 80;

@@ -146,7 +146,7 @@ TEST(GraphDelta, CompactCarriesFeaturesAttributesAndCommunities) {
   EXPECT_EQ(g.feature_dim(), 2);
   EXPECT_EQ(g.features()[5], 5.f);
   ASSERT_TRUE(g.has_attributes());
-  EXPECT_EQ(g.Attributes(0), (std::vector<int32_t>{1, 3}));  // sorted
+  EXPECT_EQ(testing::AttrVec(g, 0), (std::vector<int32_t>{1, 3}));  // sorted
   ASSERT_TRUE(g.has_communities());
   EXPECT_EQ(g.CommunityOf(2), 1);
   EXPECT_TRUE(g.HasEdge(0, 2));

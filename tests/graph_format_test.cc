@@ -163,7 +163,8 @@ void ExpectGraphsBitwiseEqual(const Graph& got, const Graph& want,
       << tag;
   EXPECT_EQ(got.has_attributes(), want.has_attributes()) << tag;
   for (NodeId v = 0; v < want.num_nodes(); ++v) {
-    EXPECT_EQ(got.Attributes(v), want.Attributes(v)) << tag << " node " << v;
+    EXPECT_EQ(testing::AttrVec(got, v), testing::AttrVec(want, v))
+        << tag << " node " << v;
   }
 }
 
@@ -178,6 +179,20 @@ TEST(GraphFormatRoundTrip, VectorAndMappedAreBitwiseIdentical) {
   EXPECT_EQ(mapped.backing(), GraphBacking::kMapped);
   ExpectGraphsBitwiseEqual(loaded, g, "loaded");
   ExpectGraphsBitwiseEqual(mapped, g, "mapped");
+
+  // The mapped graph views its attribute sections in place: attr_ids()
+  // points into the file's pages, not into a materialised copy. The file
+  // starts row_ptr's section offset before row_ptr().data().
+  const GraphFileInfo info = ReadGraphFileInfo(path).value();
+  const auto row_ptr_section = std::ranges::find(
+      info.sections, static_cast<uint32_t>(GraphSectionId::kRowPtr),
+      &GraphFileInfo::Section::id);
+  ASSERT_NE(row_ptr_section, info.sections.end());
+  const auto file_start =
+      reinterpret_cast<uintptr_t>(mapped.row_ptr().data()) -
+      row_ptr_section->offset;
+  const auto ids = reinterpret_cast<uintptr_t>(mapped.attr_ids().data());
+  EXPECT_TRUE(ids >= file_start && ids < file_start + info.file_bytes);
 
   // Both paths install the same nonzero storage identity; the in-memory
   // original has none.

@@ -100,7 +100,7 @@ TEST(Graph, AttributesSortedOnBuild) {
   b.SetAttributes({{5, 1, 3}, {}});
   Graph g = b.Build();
   ASSERT_TRUE(g.has_attributes());
-  EXPECT_EQ(g.Attributes(0), (std::vector<int32_t>{1, 3, 5}));
+  EXPECT_EQ(testing::AttrVec(g, 0), (std::vector<int32_t>{1, 3, 5}));
   EXPECT_TRUE(g.Attributes(1).empty());
 }
 
@@ -143,7 +143,7 @@ TEST(InducedSubgraph, CarriesMetadata) {
   EXPECT_EQ(sub.num_edges(), 0);
   EXPECT_FLOAT_EQ(sub.features()[0], 13);
   EXPECT_FLOAT_EQ(sub.features()[1], 11);
-  EXPECT_EQ(sub.Attributes(0), (std::vector<int32_t>{4}));
+  EXPECT_EQ(testing::AttrVec(sub, 0), (std::vector<int32_t>{4}));
   EXPECT_EQ(sub.CommunityOf(0), 1);
   EXPECT_EQ(sub.CommunityOf(1), 0);
 }

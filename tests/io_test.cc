@@ -5,6 +5,7 @@
 
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace cgnp {
 namespace {
@@ -66,7 +67,7 @@ TEST_F(IoTest, EdgeListRoundTrip) {
   }
   ASSERT_TRUE(h.has_attributes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(h.Attributes(new_of_old[v]), g.Attributes(v));
+    EXPECT_EQ(testing::AttrVec(h, new_of_old[v]), testing::AttrVec(g, v));
   }
 }
 

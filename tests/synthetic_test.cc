@@ -5,6 +5,7 @@
 
 #include "data/profiles.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace cgnp {
 namespace {
@@ -159,7 +160,7 @@ TEST(Synthetic, DeterministicGivenSeed) {
   EXPECT_TRUE(std::ranges::equal(ga.col_idx(), gb.col_idx()));
   EXPECT_TRUE(std::ranges::equal(ga.communities(), gb.communities()));
   for (NodeId v = 0; v < ga.num_nodes(); ++v) {
-    EXPECT_EQ(ga.Attributes(v), gb.Attributes(v));
+    EXPECT_EQ(testing::AttrVec(ga, v), testing::AttrVec(gb, v));
   }
 }
 

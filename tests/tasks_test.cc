@@ -202,23 +202,18 @@ TEST(AttachTaskFeatures, NonAttributedGraphGetsStructuralOnly) {
   EXPECT_EQ(feat.num_edges(), g.num_edges());
 }
 
-TEST(AttachTaskFeatures, DroppingAttributesKeepsFeaturesAndStructure) {
-  Graph g = SmallPlanted();
+TEST(AttachTaskFeatures, PassesStructureAttributesAndCommunitiesThrough) {
+  const Graph g = SmallPlanted();
   ASSERT_TRUE(g.has_attributes());
-  const Graph kept = AttachTaskFeatures(g, 24);
-  const Graph dropped = AttachTaskFeatures(g, 24, /*keep_attributes=*/false);
-  EXPECT_TRUE(kept.has_attributes());
-  EXPECT_FALSE(dropped.has_attributes());
-  EXPECT_EQ(dropped.feature_dim(), kept.feature_dim());
-  const auto fk = kept.features();
-  const auto fd = dropped.features();
-  EXPECT_TRUE(std::equal(fk.begin(), fk.end(), fd.begin(), fd.end()));
-  EXPECT_EQ(dropped.num_edges(), kept.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto nk = kept.Neighbors(v);
-    const auto nd = dropped.Neighbors(v);
-    ASSERT_TRUE(std::equal(nk.begin(), nk.end(), nd.begin(), nd.end()));
-  }
+  ASSERT_TRUE(g.has_communities());
+  const int64_t attribute_dim = AttributeDim(g);
+  const Graph feat = AttachTaskFeatures(g, attribute_dim);
+  EXPECT_EQ(feat.feature_dim(), attribute_dim + 2);
+  EXPECT_TRUE(std::ranges::equal(feat.row_ptr(), g.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(feat.col_idx(), g.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(feat.attr_ptr(), g.attr_ptr()));
+  EXPECT_TRUE(std::ranges::equal(feat.attr_ids(), g.attr_ids()));
+  EXPECT_TRUE(std::ranges::equal(feat.communities(), g.communities()));
 }
 
 }  // namespace

@@ -49,6 +49,13 @@ inline void CheckGradient(Tensor x, const std::function<Tensor()>& f,
   }
 }
 
+// Node v's attribute ids as a vector, so EXPECT_EQ can compare them with a
+// literal or with another graph's (Graph::Attributes returns a span).
+inline std::vector<int32_t> AttrVec(const Graph& g, NodeId v) {
+  const auto a = g.Attributes(v);
+  return {a.begin(), a.end()};
+}
+
 // Path graph 0-1-2-...-(n-1).
 inline Graph PathGraph(int64_t n) {
   GraphBuilder b(n);
