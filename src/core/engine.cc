@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <memory>
 
 #include "common/check.h"
 #include "core/checkpoint.h"
@@ -67,21 +68,34 @@ StatusOr<LocalQueryTask> BuildQueryTask(
   return out;
 }
 
+namespace {
+
+// The membership rule over a task's probabilities in task order: prob >=
+// threshold, and the query's own index always.
+void SelectMembers(const std::vector<NodeId>& nodes,
+                   const std::vector<float>& probs, NodeId query_index,
+                   float threshold, std::vector<NodeId>* members,
+                   std::vector<float>* member_probs) {
+  for (size_t i = 0; i < probs.size(); ++i) {
+    if (probs[i] >= threshold || static_cast<NodeId>(i) == query_index) {
+      members->push_back(nodes[i]);
+      if (member_probs != nullptr) member_probs->push_back(probs[i]);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<NodeId> MembersFromContext(const CgnpModel& model,
                                        const LocalQueryTask& task,
                                        const Tensor& context, float threshold,
                                        std::vector<float>* member_probs) {
   CGNP_TRACE_SPAN("decode");
-  Tensor logits = model.QueryLogits(task.graph, context, task.query, nullptr);
-  const std::vector<float> probs = SigmoidValues(logits);
   std::vector<NodeId> members;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] >= threshold ||
-        static_cast<NodeId>(i) == task.query) {
-      members.push_back(task.nodes[i]);
-      if (member_probs != nullptr) member_probs->push_back(probs[i]);
-    }
-  }
+  SelectMembers(task.nodes,
+                SigmoidValues(model.QueryLogits(task.graph, context,
+                                                task.query, nullptr)),
+                task.query, threshold, &members, member_probs);
   return members;
 }
 
@@ -180,45 +194,68 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
                                 std::to_string(options.threshold));
   }
   const auto start = std::chrono::steady_clock::now();
-  CGNP_ASSIGN_OR_RETURN(
-      LocalQueryTask task,
-      BuildQueryTask(g, query, labelled, options_.tasks, attribute_dim_,
-                     options_.seed));
-  if (task.graph.feature_dim() != feature_dim_) {
-    return InvalidArgumentError(
-        "query graph features incompatible with the fitted model: task "
-        "feature_dim " + std::to_string(task.graph.feature_dim()) +
-        " vs model " + std::to_string(feature_dim_));
-  }
-
-  // Inference only: never record tape (see the thread-safety contract on
-  // CgnpModel's const methods in core/cgnp.h).
-  NoGradGuard no_grad;
-  // Decode intermediates live in this thread's arena; `context` (declared
-  // after the scope) is destroyed before the arena resets. No-op when a
-  // serving layer already opened a scope for this request.
-  WorkspaceScope workspace;
   QueryResult result;
   result.backend = "cgnp";
-  Tensor context;
   // Algorithm 2's asymmetry across requests: with a serving cache slot, a
-  // task whose encoder inputs were seen before reuses that context.
+  // request seen before is answered from its stored member scores, before
+  // any task is built or encoded.
   serve::ContextCache::Key key;
+  std::shared_ptr<const serve::MemberScores> cached;
   if (options.cache != nullptr) {
-    key = {options.graph_id, serve::TaskFingerprint(task),
+    CGNP_TRACE_SPAN("cache_lookup");
+    // Validated first, so bad input gets one Status, warm cache or cold.
+    CGNP_RETURN_IF_ERROR(ValidateQueryInput(g, query, labelled));
+    key = {options.graph_id,
+           serve::RequestFingerprint(g.num_nodes(), query, labelled,
+                                     options_.tasks.subgraph_size,
+                                     options_.seed),
            options.graph_version};
     result.cache_eligible = true;
-    result.cache_hit = options.cache->Get(key, &context);
+    result.cache_hit = options.cache->Get(key, &cached);
   }
-  if (!result.cache_hit) {
-    CGNP_TRACE_SPAN("encode");
-    context = model_->TaskContext(task.graph, task.support, nullptr);
-    // The task's node list is the context's coverage, so graph updates
-    // invalidate by overlap instead of flushing the whole graph id.
-    if (options.cache != nullptr) options.cache->Put(key, context, task.nodes);
+  if (result.cache_hit) {
+    CGNP_TRACE_SPAN("decode");
+    // The stored probabilities are those a fresh decode would compute;
+    // nodes[0] is the query.
+    SelectMembers(cached->nodes, cached->probs, /*query_index=*/0,
+                  options.threshold, &result.members, &result.probs);
+  } else {
+    CGNP_ASSIGN_OR_RETURN(
+        LocalQueryTask task,
+        BuildQueryTask(g, query, labelled, options_.tasks, attribute_dim_,
+                       options_.seed));
+    if (task.graph.feature_dim() != feature_dim_) {
+      return InvalidArgumentError(
+          "query graph features incompatible with the fitted model: task "
+          "feature_dim " + std::to_string(task.graph.feature_dim()) +
+          " vs model " + std::to_string(feature_dim_));
+    }
+    // Inference only: never record tape (see the thread-safety contract on
+    // CgnpModel's const methods in core/cgnp.h).
+    NoGradGuard no_grad;
+    // Model intermediates live in this thread's arena; `context` (declared
+    // after the scope) is destroyed before the arena resets. No-op when a
+    // serving layer already opened a scope for this request.
+    WorkspaceScope workspace;
+    serve::MemberScores scores;
+    {
+      Tensor context;
+      {
+        CGNP_TRACE_SPAN("encode");
+        context = model_->TaskContext(task.graph, task.support, nullptr);
+      }
+      CGNP_TRACE_SPAN("decode");
+      scores.probs = SigmoidValues(
+          model_->QueryLogits(task.graph, context, task.query, nullptr));
+      SelectMembers(task.nodes, scores.probs, task.query, options.threshold,
+                    &result.members, &result.probs);
+    }
+    if (options.cache != nullptr) {
+      CGNP_TRACE_SPAN("cache_put");
+      scores.nodes = std::move(task.nodes);
+      options.cache->Put(key, std::move(scores));
+    }
   }
-  result.members = MembersFromContext(*model_, task, context,
-                                      options.threshold, &result.probs);
   const auto end = std::chrono::steady_clock::now();
   result.elapsed_ms =
       std::chrono::duration<double, std::milli>(end - start).count();

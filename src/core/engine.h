@@ -55,8 +55,9 @@ StatusOr<LocalQueryTask> BuildQueryTask(
     const Graph& g, NodeId query, const std::vector<QueryExample>& labelled,
     const TaskConfig& tasks, int64_t attribute_dim, uint64_t seed);
 
-// The decode half of CommunitySearchEngine::Query: one decoder pass over
-// the task given its context, sigmoid, then the membership rule (prob >=
+// The decode step of the cgnp pipeline, for callers that run it step by
+// step: one decoder pass over the task given its context, sigmoid, then
+// the membership rule CommunitySearchEngine::Query applies (prob >=
 // threshold, query always included). Returns members in the parent
 // graph's ids; when `member_probs` is non-null it receives the matching
 // per-member probability.
@@ -96,8 +97,9 @@ class CommunitySearchEngine {
   // setting. Returns members plus aligned membership probabilities and
   // timing; FailedPrecondition before Fit/load, OutOfRange for bad node
   // ids, InvalidArgument for a bad threshold. With QueryOptions::cache set
-  // (the serving layer's slot), the encoded context is looked up between
-  // task build and encode and stored on a miss.
+  // (the serving layer's slot), the request is looked up before its task
+  // is built: a hit applies the threshold to the stored member scores, a
+  // miss runs the full pipeline and stores them (serve/context_cache.h).
   StatusOr<QueryResult> Query(const Graph& g, NodeId query,
                               const std::vector<QueryExample>& labelled = {},
                               const QueryOptions& options = {}) const;

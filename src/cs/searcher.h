@@ -47,11 +47,13 @@ struct QueryOptions {
   // Learned backends: membership-probability cut in [0, 1]. Ignored by the
   // classical algorithms (their membership is crisp).
   float threshold = 0.5f;
-  // The serving layer's context-cache slot (set by serve::QueryServer).
-  // When non-null, the learned backend looks up the encoded context under
-  // (graph_id, task fingerprint, graph_version) before encoding and stores
-  // it on a miss -- Algorithm 2's encode-once. Ignored by the classical
-  // algorithms, like `threshold`.
+  // The serving layer's cache slot (set by serve::QueryServer). When
+  // non-null, the learned backend looks the request up under (graph_id,
+  // request fingerprint, graph_version) before building its task: a hit
+  // thresholds the stored member scores, a miss runs the pipeline and
+  // stores them -- Algorithm 2's encode-once. The key trusts graph_id to
+  // tell graphs apart. Ignored by the classical algorithms, like
+  // `threshold`.
   serve::ContextCache* cache = nullptr;
   uint64_t graph_id = 0;
   uint64_t graph_version = 0;
@@ -70,7 +72,8 @@ struct QueryResult {
   // Wall-clock time spent answering, for per-backend timing stats.
   double elapsed_ms = 0.0;
   // The query consulted QueryOptions::cache (cache_eligible) and, on
-  // cache_hit, reused the context stored there.
+  // cache_hit, was answered from the member scores stored there, with no
+  // task build, encode or decoder pass.
   bool cache_eligible = false;
   bool cache_hit = false;
 };

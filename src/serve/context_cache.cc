@@ -80,25 +80,67 @@ uint64_t TaskFingerprint(const LocalQueryTask& task) {
   return h;
 }
 
+uint64_t RequestFingerprint(int64_t num_nodes, NodeId query,
+                            const std::vector<QueryExample>& support,
+                            int64_t subgraph_size, uint64_t seed) {
+  uint64_t h = kFnvOffset;
+  HashI64(&h, num_nodes);
+  HashI64(&h, query);
+  HashI64(&h, static_cast<int64_t>(support.size()));
+  for (const auto& ex : support) {
+    HashI64(&h, ex.query);
+    HashIds(&h, ex.pos);
+    HashIds(&h, ex.neg);
+  }
+  HashI64(&h, subgraph_size);
+  HashI64(&h, static_cast<int64_t>(seed));
+  return h;
+}
+
 ContextCache::ContextCache(int64_t capacity) : capacity_(capacity) {
   // Resolve the process-wide metric handles now, so the first lookup does
   // not pay the registry.
   GlobalCacheMetrics();
 }
 
-bool ContextCache::Get(const Key& key, Tensor* out) {
-  std::lock_guard<std::mutex> lock(mu_);
+const ContextCache::Entry* ContextCache::Find(const Key& key,
+                                              bool want_scores) {
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || (it->second->scores != nullptr) != want_scores) {
     ++misses_;
     GlobalCacheMetrics().misses->Increment();
-    return false;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
   GlobalCacheMetrics().hits->Increment();
-  *out = it->second->context;
+  return &*it->second;
+}
+
+bool ContextCache::Get(const Key& key,
+                       std::shared_ptr<const MemberScores>* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry* entry = Find(key, /*want_scores=*/true);
+  if (entry == nullptr) return false;
+  *out = entry->scores;
   return true;
+}
+
+bool ContextCache::Get(const Key& key, Tensor* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry* entry = Find(key, /*want_scores=*/false);
+  if (entry == nullptr) return false;
+  *out = entry->context;
+  return true;
+}
+
+void ContextCache::Put(const Key& key, MemberScores scores) {
+  if (capacity_ <= 0) return;
+  std::vector<NodeId> nodes = scores.nodes;
+  std::sort(nodes.begin(), nodes.end());
+  Insert(Entry{key, Tensor(),
+               std::make_shared<const MemberScores>(std::move(scores)),
+               std::move(nodes)});
 }
 
 void ContextCache::Put(const Key& key, Tensor context) {
@@ -117,16 +159,19 @@ void ContextCache::Put(const Key& key, Tensor context,
     context = context.Clone();
   }
   std::sort(nodes.begin(), nodes.end());
+  Insert(Entry{key, std::move(context), nullptr, std::move(nodes)});
+}
+
+void ContextCache::Insert(Entry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
+  auto it = index_.find(entry.key);
   if (it != index_.end()) {
-    it->second->context = std::move(context);
-    it->second->nodes = std::move(nodes);
+    *it->second = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(context), std::move(nodes)});
-  index_[key] = lru_.begin();
+  lru_.push_front(std::move(entry));
+  index_[lru_.front().key] = lru_.begin();
   if (static_cast<int64_t>(lru_.size()) > capacity_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();

@@ -1,31 +1,48 @@
-// LRU cache of task contexts -- the serving-time expression of the paper's
-// key inference asymmetry (Algorithm 2): the support set is encoded ONCE
-// into a context H, after which every query is a single cheap decoder pass.
-// Entries are keyed by (graph id, task fingerprint, graph version), where
-// the fingerprint hashes the materialised local task (subgraph node list +
-// support set in local ids), so a hit is only possible when the encoder
-// would have been fed bit-identical inputs -- cached and fresh contexts are
-// therefore numerically identical, not merely approximately so.
+// LRU cache of decoded cgnp requests -- the serving-time expression of the
+// paper's key inference asymmetry (Algorithm 2): the support set is encoded
+// ONCE, after which a repeated request is answered without building its
+// task or running the model at all.
+//
+// What an entry holds. CommunitySearchEngine::Query keys an entry on the
+// request as sent -- (graph id, RequestFingerprint, graph version), where
+// the fingerprint hashes every input of the deterministic BuildQueryTask
+// (query, support lists in parent ids, |V|, subgraph size, seed) -- and
+// stores MemberScores: the sigmoid member probability of every task node,
+// in task order, with the task's node list. Those probabilities are a
+// deterministic function of the task and its context for every decoder
+// (inner product, MLP, GNN), so a hit is just the threshold filter over the
+// stored order, and its members and probs are bitwise equal to a fresh
+// decode at any threshold. Entries hold neither the context nor the task
+// graph: a 200-node task's entry is about 4 KB instead of 27 KB. The key
+// trusts graph_id to tell graphs apart (callers give distinct ids to
+// distinct graphs).
+//
+// Context entries. The Tensor overloads of Get/Put keep the pre-request
+// layout -- a context keyed by TaskFingerprint of the materialised task --
+// for callers that replay the task-build/encode/decode pipeline step by
+// step (the repository benchmark's traced run). The engine no longer uses
+// them.
 //
 // Dynamic graphs and scoped invalidation. The version component makes the
 // cache safe under graph mutation: requests against version N never see
-// contexts encoded at version M != N. Rather than flushing everything on
+// entries computed at version M != N. Rather than flushing everything on
 // every update, ScopedInvalidate exploits the determinism of the task
 // sampler: a task's subgraph is materialised by reading the adjacency of
 // exactly the nodes in its node list, so an entry whose recorded node set
 // is disjoint from the update's dirty region would be rebuilt bit-identical
-// at the new version -- its context is still exact and the entry is
-// RE-KEYED to the new version instead of evicted. Only entries touching the
-// dirty region (or whose coverage was never recorded) are dropped.
+// at the new version -- its value is still exact and the entry is RE-KEYED
+// to the new version instead of evicted. Only entries touching the dirty
+// region (or whose coverage was never recorded) are dropped.
 //
-// Thread safety: all methods are safe to call concurrently. Cached Tensor
-// values are produced under NoGradGuard (no tape, no grad) and treated as
-// immutable by all readers.
+// Thread safety: all methods are safe to call concurrently. Cached values
+// (contexts produced under NoGradGuard, member scores) are immutable once
+// stored.
 #ifndef CGNP_SERVE_CONTEXT_CACHE_H_
 #define CGNP_SERVE_CONTEXT_CACHE_H_
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -40,8 +57,26 @@ namespace serve {
 // 64-bit FNV-1a over the local task's identity: subgraph node list, local
 // query, and every support example's (query, pos, neg) lists. Two tasks
 // with equal fingerprints feed the encoder identical inputs (modulo hash
-// collisions, ~2^-64 per pair).
+// collisions, ~2^-64 per pair). The key of context entries.
 uint64_t TaskFingerprint(const LocalQueryTask& task);
+
+// 64-bit FNV-1a over a cgnp request's task inputs as sent: |V|, the query,
+// every support example's (query, pos, neg) lists in parent ids, the task
+// subgraph size and the engine seed. On one graph version these determine
+// BuildQueryTask's output, so two requests with equal fingerprints decode
+// to the same member scores. The key of request entries.
+uint64_t RequestFingerprint(int64_t num_nodes, NodeId query,
+                            const std::vector<QueryExample>& support,
+                            int64_t subgraph_size, uint64_t seed);
+
+// What one cgnp request decodes to before the threshold is applied.
+struct MemberScores {
+  // The task's nodes in parent ids, in task order; nodes[0] is the query
+  // (the BFS seed).
+  std::vector<NodeId> nodes;
+  // Sigmoid member probability of each node, aligned with `nodes`.
+  std::vector<float> probs;
+};
 
 class ContextCache {
  public:
@@ -68,15 +103,22 @@ class ContextCache {
   // (Get always misses, Put is a no-op).
   explicit ContextCache(int64_t capacity);
 
-  // On hit, copies the cached context into *out, promotes the entry to
-  // most-recently-used, and returns true.
+  // On hit, shares the stored scores into *out, promotes the entry to
+  // most-recently-used, and returns true. An entry holding a context is a
+  // miss here (and a scores entry is one for the Tensor overload).
+  bool Get(const Key& key, std::shared_ptr<const MemberScores>* out);
+  // Inserts (or refreshes) a request entry, evicting the least-recently-
+  // used entry when over capacity. Its coverage is the set of
+  // `scores.nodes`.
+  void Put(const Key& key, MemberScores scores);
+
+  // Context entries, same LRU and counters. On hit, copies the cached
+  // context into *out. `nodes` records which parent-graph nodes the
+  // context depends on (the task's subgraph node list; will be sorted) --
+  // the coverage ScopedInvalidate checks against. The two-arg Put records
+  // no coverage, so such entries never survive a scoped invalidation of
+  // their graph.
   bool Get(const Key& key, Tensor* out);
-  // Inserts (or refreshes) an entry, evicting the least-recently-used
-  // entry when over capacity. `nodes` records which parent-graph nodes the
-  // cached context depends on (the task's subgraph node list; will be
-  // sorted) -- the coverage ScopedInvalidate checks against. The two-arg
-  // overload records no coverage, so such entries never survive a scoped
-  // invalidation of their graph.
   void Put(const Key& key, Tensor context);
   void Put(const Key& key, Tensor context, std::vector<NodeId> nodes);
 
@@ -84,7 +126,7 @@ class ContextCache {
   // node set `dirty`: entries of other graphs are untouched; entries of
   // this graph are evicted when their recorded coverage intersects `dirty`
   // (or was never recorded), and re-keyed to `new_version` otherwise --
-  // their contexts are provably bit-identical at the new version (the
+  // their values are provably bit-identical at the new version (the
   // deterministic sampler reads only covered nodes' adjacency). LRU order
   // is preserved across re-keying.
   InvalidationResult ScopedInvalidate(uint64_t graph_id, uint64_t new_version,
@@ -103,10 +145,12 @@ class ContextCache {
   uint64_t invalidations() const;
 
  private:
+  // Holds a context or scores, never both.
   struct Entry {
     Key key;
     Tensor context;
-    // Sorted parent-graph nodes the context depends on; empty = unknown.
+    std::shared_ptr<const MemberScores> scores;
+    // Sorted parent-graph nodes the value depends on; empty = unknown.
     std::vector<NodeId> nodes;
   };
   struct KeyHash {
@@ -123,6 +167,13 @@ class ContextCache {
   // Most-recently-used at the front.
   std::list<Entry> lru_;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+
+  // The entry under `key` promoted to most-recently-used and counted as a
+  // hit, or nullptr (counted as a miss) when absent or holding the other
+  // kind of value. Caller holds mu_.
+  const Entry* Find(const Key& key, bool want_scores);
+  // Shared insert/refresh/evict step of the Put overloads.
+  void Insert(Entry entry);
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

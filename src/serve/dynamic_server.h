@@ -17,7 +17,7 @@
 //     scopedly invalidated -- entries whose task subgraph avoids the dirty
 //     region are re-keyed to the new version (still numerically exact),
 //     the rest are dropped. Requests are stamped with the serving
-//     snapshot's version, so a stale context can never answer a
+//     snapshot's version, so a stale entry can never answer a
 //     new-version request.
 //
 // Thread safety: ApplyUpdate / Compact / Serve / stats may be called

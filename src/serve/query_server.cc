@@ -97,7 +97,7 @@ Status QueryServer::AnswerRequest(const SearchRequest& request,
   }
   QueryOptions query_options;
   query_options.threshold = request.threshold;
-  // The cache slot: the learned backend reuses encoded contexts through
+  // The cache slot: the learned backend reuses earlier answers through
   // it; the classical backends ignore it.
   query_options.cache = &cache_;
   query_options.graph_id = request.graph_id;

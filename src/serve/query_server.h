@@ -8,10 +8,11 @@
 // CommunitySearchEngine::Query, so a multi-threaded server returns results
 // identical to single-threaded Query. On top of that it adds:
 //   * a context cache (see context_cache.h), handed to the backend as the
-//     QueryOptions cache slot: repeated queries against the same community
-//     reuse one encoder pass -- the paper's Algorithm 2 asymmetry (encode
-//     support once, decode queries cheaply) made explicit at the system
-//     level (cgnp backend only; classical answers are cheap and stateless);
+//     QueryOptions cache slot: a repeated request is answered from the
+//     member scores of its first answer, with no task build or encoder
+//     pass -- the paper's Algorithm 2 asymmetry (encode support once,
+//     answer queries cheaply) made explicit at the system level (cgnp
+//     backend only; classical answers are cheap and stateless);
 //   * a worker pool: every request runs under a thread-local NoGradGuard
 //     against an eval-mode model, the regime core/cgnp.h documents as safe
 //     for concurrent const access;
@@ -67,7 +68,7 @@ struct SearchRequest {
   NodeId query = -1;
   // Version of the graph this request runs against (GraphDelta::version
   // lineage). Static serving leaves it 0; dynamic serving stamps it so
-  // cached contexts never cross versions -- see ContextCache and
+  // cached entries never cross versions -- see ContextCache and
   // NotifyGraphUpdate.
   uint64_t graph_version = 0;
   // Labelled support observations in `graph`'s node ids; empty = the
@@ -92,7 +93,7 @@ struct SearchResponse {
   std::string backend;
   float threshold = 0.5f;
   double latency_ms = 0.0;
-  bool cache_hit = false;  // context served from the cache (cgnp only)
+  bool cache_hit = false;  // answered from the cache (cgnp only)
   // The request consulted the context cache (the cgnp backend reached the
   // lookup). Classical backends never do; this is the honest hit-rate
   // denominator in ServerStats.
@@ -163,7 +164,7 @@ struct ServeOptions {
   // cgnp checkpoint path, ...).
   SearcherConfig searcher;
   int num_threads = 4;
-  // Max cached contexts; 0 disables the cache (every request re-encodes).
+  // Max cached requests; 0 disables the cache (every request re-encodes).
   int64_t cache_capacity = 256;
   // Size of the bounded latency reservoir behind the Stats() percentiles
   // (most recent N requests). Counters and min/max always cover the whole
@@ -212,7 +213,7 @@ class QueryServer {
   // node set `dirty` edited since the cached entries' versions. Runs a
   // scoped invalidation over the context cache: entries whose recorded
   // task subgraph avoids the dirty region are re-keyed to the new version
-  // (their contexts are bit-identical there), the rest are dropped.
+  // (their member scores are bit-identical there), the rest are dropped.
   // Returns the sweep outcome; counted in Stats() and the
   // cgnp_serve_updates/cache_invalidated/cache_retained metric families.
   ContextCache::InvalidationResult NotifyGraphUpdate(

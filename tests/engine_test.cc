@@ -6,6 +6,8 @@
 
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
+#include "serve/context_cache.h"
 
 namespace cgnp {
 namespace {
@@ -269,6 +271,93 @@ TEST(EngineErrorTest, QueryReportsBackendProbsAndTiming) {
   EXPECT_EQ(result->members.size(), result->probs.size());
   EXPECT_FALSE(result->members.empty());
   EXPECT_GT(result->elapsed_ms, 0.0);
+}
+
+// A request answered from the cache slot returns exactly what a cache-less
+// Query returns at the same threshold, for every decoder, zero-shot and
+// supported, and builds no task and runs no encoder.
+TEST(EngineCacheTest, HitMatchesFreshQueryForEveryDecoder) {
+  const Graph g = PlantedGraph();
+  const NodeId q = 42;
+  const int64_t community = g.CommunityOf(q);
+  // Two shots: labelled observations around two members of q's community.
+  std::vector<QueryExample> two_shot;
+  for (NodeId v = 0; v < g.num_nodes() && two_shot.size() < 2; ++v) {
+    if (g.CommunityOf(v) != community) continue;
+    QueryExample ex;
+    ex.query = two_shot.empty() ? q : v;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (u == ex.query) continue;
+      auto& side = g.CommunityOf(u) == community ? ex.pos : ex.neg;
+      if (side.size() < 4) side.push_back(u);
+    }
+    two_shot.push_back(std::move(ex));
+  }
+
+  for (DecoderKind decoder : {DecoderKind::kInnerProduct, DecoderKind::kMlp,
+                              DecoderKind::kGnn}) {
+    CommunitySearchEngine::Options opt = FastOptions();
+    opt.model.decoder = decoder;
+    opt.model.epochs = 2;
+    CommunitySearchEngine engine(opt);
+    ASSERT_TRUE(engine.Fit(g).ok());
+    // One cache for both support sets: the supported request must not hit
+    // the zero-shot entry.
+    serve::ContextCache cache(4);
+    for (const auto& support : {std::vector<QueryExample>{}, two_shot}) {
+      const std::string where =
+          "decoder " + std::to_string(static_cast<int>(decoder)) + ", " +
+          std::to_string(support.size()) + "-shot";
+      QueryOptions cached;
+      cached.cache = &cache;
+      cached.graph_id = 1;
+      const auto fill = engine.Query(g, q, support, cached);
+      ASSERT_TRUE(fill.ok()) << fill.status();
+      EXPECT_FALSE(fill->cache_hit) << where;
+
+      for (float threshold : {0.0f, 0.3f, 0.5f, 0.9f, 1.0f}) {
+        QueryOptions fresh_opt;
+        fresh_opt.threshold = threshold;
+        const auto fresh = engine.Query(g, q, support, fresh_opt);
+        ASSERT_TRUE(fresh.ok()) << fresh.status();
+        cached.threshold = threshold;
+        obs::TraceCollector collector;
+        const auto hit = engine.Query(g, q, support, cached);
+        const std::vector<obs::StageTiming> stages = collector.Take();
+        ASSERT_TRUE(hit.ok()) << hit.status();
+        EXPECT_TRUE(hit->cache_hit) << where << ", threshold " << threshold;
+        EXPECT_EQ(hit->members, fresh->members)
+            << where << ", threshold " << threshold;
+        EXPECT_EQ(hit->probs, fresh->probs)  // exact float equality
+            << where << ", threshold " << threshold;
+        for (const obs::StageTiming& st : stages) {
+          if (st.depth != 0) continue;
+          EXPECT_NE(st.name, "task_build") << where;
+          EXPECT_NE(st.name, "encode") << where;
+        }
+      }
+    }
+  }
+}
+
+// Bad input returns its Status before the lookup, so a warm cache cannot
+// turn it into an answer and the lookup is not counted.
+TEST(EngineCacheTest, CacheSlotValidatesBeforeLookup) {
+  const Graph g = PlantedGraph();
+  CommunitySearchEngine engine(FastOptions());
+  ASSERT_TRUE(engine.Fit(g).ok());
+  serve::ContextCache cache(4);
+  QueryOptions cached;
+  cached.cache = &cache;
+  QueryExample bad;
+  bad.query = 17;
+  bad.pos = {g.num_nodes()};
+  for (int round = 0; round < 2; ++round) {
+    const auto result = engine.Query(g, 17, {bad}, cached);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "serve/query_server.h"
 
 #include <atomic>
+#include <barrier>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -275,6 +276,34 @@ TEST(QueryServerTest, StatsTrackRequestsAndCacheHits) {
   EXPECT_DOUBLE_EQ(server.Stats().min_ms, 0.0);
 }
 
+// The cgnp backend with a gate: while `gate` is set, every request waits
+// at it until one request runs on each worker, so a batch of exactly
+// num_threads requests puts one on every worker.
+struct WorkerGate {
+  const CommunitySearchEngine* engine = nullptr;
+  std::unique_ptr<std::barrier<>> gate;  // null: requests pass straight on
+};
+
+WorkerGate& TheWorkerGate() {
+  static WorkerGate gate;
+  return gate;
+}
+
+class GatedCgnpSearcher : public CommunitySearcher {
+ public:
+  const std::string& name() const override {
+    static const std::string kName = "cgnp-gated-test";
+    return kName;
+  }
+  StatusOr<QueryResult> Search(const Graph& g, NodeId query,
+                               const std::vector<QueryExample>& labelled,
+                               const QueryOptions& options) const override {
+    WorkerGate& w = TheWorkerGate();
+    if (w.gate != nullptr) w.gate->arrive_and_wait();
+    return w.engine->Query(g, query, labelled, options);
+  }
+};
+
 TEST(QueryServerTest, WarmServingAllocatesNoNewWorkspaceBytes) {
   // The zero-steady-state-allocation contract (docs/KERNELS.md): every
   // per-query tensor allocation comes from the per-thread workspace arena,
@@ -282,17 +311,35 @@ TEST(QueryServerTest, WarmServingAllocatesNoNewWorkspaceBytes) {
   // has served the workload once, repeating it reserves no new memory.
   // cgnp_workspace_bytes sums live arena reservations process-wide and
   // cgnp_workspace_hwm is the per-query usage high water; both must be
-  // flat across warm rounds at any thread count.
+  // flat across warm rounds at any thread count. The cache is off, so
+  // every request runs the model and uses its worker's arena (a cache hit
+  // touches no arena).
   obs::Gauge& bytes =
       obs::MetricsRegistry::Default().GetGauge("cgnp_workspace_bytes");
   obs::Gauge& hwm =
       obs::MetricsRegistry::Default().GetGauge("cgnp_workspace_hwm");
   Graph g = PlantedGraph();
   CommunitySearchEngine engine = TrainedEngine(g);
+  static const bool registered =
+      RegisterSearcherFactory(
+          "cgnp-gated-test",
+          [](const SearcherConfig&)
+              -> StatusOr<std::unique_ptr<CommunitySearcher>> {
+            return std::unique_ptr<CommunitySearcher>(new GatedCgnpSearcher());
+          })
+          .ok();
+  ASSERT_TRUE(registered);
+  WorkerGate& w = TheWorkerGate();
+  w.engine = &engine;
 
   for (int threads : {1, 2, 8}) {
-    auto server_ptr = MakeServer(engine, threads, 16);
-    QueryServer& server = *server_ptr;
+    ServeOptions opt;
+    opt.backend = "cgnp-gated-test";
+    opt.num_threads = threads;
+    opt.cache_capacity = 0;
+    auto server_or = QueryServer::Create(nullptr, opt);
+    ASSERT_TRUE(server_or.ok()) << server_or.status();
+    QueryServer& server = **server_or;
     std::vector<SearchRequest> batch;
     for (NodeId q = 0; q < NodeId(4 * threads); ++q) {
       SearchRequest req;
@@ -301,18 +348,17 @@ TEST(QueryServerTest, WarmServingAllocatesNoNewWorkspaceBytes) {
       req.query = q;
       batch.push_back(req);
     }
-    // Warm until reservations stop growing: the pool hands queries to
-    // workers nondeterministically, so loop until a full round leaves the
-    // gauge untouched (every worker arena now covers the per-query need).
-    double warm_bytes = -1.0;
-    for (int round = 0; round < 20 && bytes.Value() != warm_bytes; ++round) {
-      warm_bytes = bytes.Value();
-      for (const SearchResponse& r : server.ServeBatch(batch)) {
+    // Warm deterministically: every worker serves every request once, one
+    // gated batch of `threads` copies per request.
+    w.gate = std::make_unique<std::barrier<>>(threads);
+    for (const SearchRequest& req : batch) {
+      for (const SearchResponse& r :
+           server.ServeBatch(std::vector<SearchRequest>(threads, req))) {
         ASSERT_TRUE(r.status.ok()) << r.status;
       }
     }
-    ASSERT_EQ(bytes.Value(), warm_bytes) << "arenas never stabilized at "
-                                         << threads << " threads";
+    w.gate.reset();
+    const double warm_bytes = bytes.Value();
     const double warm_hwm = hwm.Value();
 
     // Steady state: the same workload, repeated, allocates zero new bytes.
@@ -326,6 +372,7 @@ TEST(QueryServerTest, WarmServingAllocatesNoNewWorkspaceBytes) {
           << threads << " threads, warm round " << round;
     }
   }  // server destruction joins the pool; dying arenas decrement the gauge
+  w.engine = nullptr;
 }
 
 // --- Backend selection by registry name ------------------------------------
