@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the graph substrate: decomposition
 // and sampling primitives used by the classical baselines and the task
-// generators.
+// generators, and the cgnp query-task build.
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_export.h"
 #include "common/parallel.h"
+#include "core/engine.h"
 #include "data/synthetic.h"
 #include "graph/algorithms.h"
 #include "graph/sampling.h"
@@ -75,6 +76,21 @@ void BM_InducedSubgraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InducedSubgraph)->Arg(200)->Arg(2000);
+
+void BM_BuildQueryTask(benchmark::State& state) {
+  // The cgnp query-task build (BFS task of TaskConfig's 200 nodes, task
+  // features attached) at growing |V|: its cost follows the task, so the
+  // rows stay flat apart from the cache misses of a larger parent.
+  const Graph g = MakeGraph(state.range(0));
+  const TaskConfig tasks;
+  Rng rng(11);
+  for (auto _ : state) {
+    auto task = BuildQueryTask(g, rng.NextInt(g.num_nodes()), {}, tasks,
+                               AttributeDim(g), /*seed=*/7);
+    benchmark::DoNotOptimize(task.value().graph.num_edges());
+  }
+}
+BENCHMARK(BM_BuildQueryTask)->Arg(5000)->Arg(100000)->Arg(1000000);
 
 void BM_GraphBuildThreadSweep(benchmark::State& state) {
   // CSR construction (count + scatter + per-node sort/dedup + compaction)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 namespace cgnp {
 namespace bench {
@@ -69,10 +70,11 @@ CompareResult CompareReports(const std::vector<BenchReport>& baseline,
   }
 
   CompareResult result;
-  // Timings recorded at different SIMD dispatch levels are expected to
-  // move; note every (suite, baseline level, current level) mismatch so
-  // the reader discounts the deltas instead of chasing phantom
-  // regressions. "unknown" (pre-simd_level reports) stays silent.
+  // Timings recorded at different SIMD dispatch levels, or on hosts with
+  // different core counts (every threads > 1 row), are expected to move;
+  // note every such (suite, baseline, current) mismatch so the reader
+  // discounts the deltas instead of chasing phantom regressions. Unknown
+  // values ("unknown" level, 0 cores: older reports) stay silent.
   for (const auto& base_report : baseline) {
     for (const auto& cur_report : current) {
       if (cur_report.meta.suite != base_report.meta.suite) continue;
@@ -83,6 +85,14 @@ CompareResult CompareReports(const std::vector<BenchReport>& baseline,
             base_report.meta.suite + ": baseline recorded at simd_level=" +
             bs + ", current at simd_level=" + cs +
             " -- timing deltas reflect the dispatch level, not the code");
+      }
+      const int bc = base_report.meta.host_cores;
+      const int cc = cur_report.meta.host_cores;
+      if (bc != cc && bc > 0 && cc > 0) {
+        result.host_notes.push_back(
+            base_report.meta.suite + ": baseline recorded on " +
+            std::to_string(bc) + " cores, current on " + std::to_string(cc) +
+            " cores -- timing deltas reflect the host, not the code");
       }
     }
   }

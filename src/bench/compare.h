@@ -81,8 +81,9 @@ struct CompareResult {
   std::vector<std::string> missing_cases;  // in baseline, absent in current
   std::vector<std::string> extra_cases;    // in current, absent in baseline
   // Non-fatal context the CLI prints before the per-case table -- e.g.
-  // baseline and current recorded at different SIMD dispatch levels, where
-  // every timing delta is expected and advisory reading is warranted.
+  // baseline and current recorded at different SIMD dispatch levels or on
+  // hosts with different core counts, where every timing delta is expected
+  // and advisory reading is warranted.
   std::vector<std::string> host_notes;
   int regressions = 0;
   int drifts = 0;

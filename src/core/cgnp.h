@@ -45,7 +45,7 @@ namespace cgnp {
 // Storage backing (graph/format.h) does not weaken it either: a mapped
 // *parent* graph is only ever read through its CSR/feature spans on the
 // query path -- BuildQueryTask materialises each per-request task subgraph
-// as a fresh vector-backed Graph via InducedSubgraph, so the mutable
+// as a fresh vector-backed Graph via BfsSubgraph, so the mutable
 // lazily-built adjacency caches (clause (d)) live on those private task
 // graphs, never on the shared read-only mapping. Serving straight from an
 // mmap'd container (serve::OpenMappedGraph) is therefore safe at any

@@ -1,9 +1,11 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "core/checkpoint.h"
@@ -39,23 +41,35 @@ StatusOr<LocalQueryTask> BuildQueryTask(
 
   LocalQueryTask out;
   Rng rng(seed ^ static_cast<uint64_t>(query + 1));
-  out.nodes = BfsSample(g, query, tasks.subgraph_size, &rng);
-  // The query (BFS seed) is nodes[0]; map ids.
-  std::vector<NodeId> new_of_old;
-  out.graph = AttachTaskFeatures(InducedSubgraph(g, out.nodes, &new_of_old),
-                                 attribute_dim);
-  out.query = new_of_old[query];
+  out.graph = AttachTaskFeatures(
+      BfsSubgraph(g, query, tasks.subgraph_size, &rng, &out.nodes),
+      attribute_dim);
+  out.query = 0;  // the BFS seed is the task's first node
 
-  // Remap user-provided support observations into the task subgraph.
+  // Remap user-provided support observations into the task subgraph,
+  // through the task's (parent id, local id) pairs sorted by parent id.
+  std::vector<std::pair<NodeId, NodeId>> local_of;
+  if (!labelled.empty()) {
+    local_of.reserve(out.nodes.size());
+    for (size_t i = 0; i < out.nodes.size(); ++i) {
+      local_of.emplace_back(out.nodes[i], static_cast<NodeId>(i));
+    }
+    std::sort(local_of.begin(), local_of.end());
+  }
+  auto local_id = [&local_of](NodeId v) -> NodeId {
+    const auto it = std::lower_bound(local_of.begin(), local_of.end(),
+                                     std::pair<NodeId, NodeId>(v, -1));
+    return it != local_of.end() && it->first == v ? it->second : -1;
+  };
   for (const auto& ex : labelled) {
-    if (new_of_old[ex.query] < 0) continue;
+    if (local_id(ex.query) < 0) continue;
     QueryExample local;
-    local.query = new_of_old[ex.query];
+    local.query = local_id(ex.query);
     for (NodeId v : ex.pos) {
-      if (new_of_old[v] >= 0) local.pos.push_back(new_of_old[v]);
+      if (const NodeId l = local_id(v); l >= 0) local.pos.push_back(l);
     }
     for (NodeId v : ex.neg) {
-      if (new_of_old[v] >= 0) local.neg.push_back(new_of_old[v]);
+      if (const NodeId l = local_id(v); l >= 0) local.neg.push_back(l);
     }
     out.support.push_back(std::move(local));
   }
@@ -201,6 +215,10 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
   // any task is built or encoded.
   serve::ContextCache::Key key;
   std::shared_ptr<const serve::MemberScores> cached;
+  // Held from a miss until its Put, so concurrent requests for the same key
+  // wait for this one instead of building the task again; released on
+  // every early return too.
+  serve::ContextCache::Claim claim;
   if (options.cache != nullptr) {
     CGNP_TRACE_SPAN("cache_lookup");
     // Validated first, so bad input gets one Status, warm cache or cold.
@@ -211,7 +229,7 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
                                      options_.seed),
            options.graph_version};
     result.cache_eligible = true;
-    result.cache_hit = options.cache->Get(key, &cached);
+    result.cache_hit = options.cache->Get(key, &cached, &claim);
   }
   if (result.cache_hit) {
     CGNP_TRACE_SPAN("decode");
@@ -237,23 +255,27 @@ StatusOr<QueryResult> CommunitySearchEngine::Query(
     // after the scope) is destroyed before the arena resets. No-op when a
     // serving layer already opened a scope for this request.
     WorkspaceScope workspace;
+    Tensor context;
+    {
+      CGNP_TRACE_SPAN("encode");
+      context = model_->TaskContext(task.graph, task.support, nullptr);
+    }
     serve::MemberScores scores;
     {
-      Tensor context;
-      {
-        CGNP_TRACE_SPAN("encode");
-        context = model_->TaskContext(task.graph, task.support, nullptr);
-      }
       CGNP_TRACE_SPAN("decode");
       scores.probs = SigmoidValues(
           model_->QueryLogits(task.graph, context, task.query, nullptr));
       SelectMembers(task.nodes, scores.probs, task.query, options.threshold,
                     &result.members, &result.probs);
+      // Free the context and the task graph inside the span, so that all of
+      // a request's time stays traced.
+      context = Tensor();
+      scores.nodes = std::move(task.nodes);
+      task = LocalQueryTask();
     }
     if (options.cache != nullptr) {
       CGNP_TRACE_SPAN("cache_put");
-      scores.nodes = std::move(task.nodes);
-      options.cache->Put(key, std::move(scores));
+      options.cache->Put(std::move(claim), std::move(scores));
     }
   }
   const auto end = std::chrono::steady_clock::now();

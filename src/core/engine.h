@@ -46,7 +46,9 @@ struct LocalQueryTask {
 
 // Deterministic given (g, query, seed): the BFS sample draws from an rng
 // seeded with `seed ^ (query + 1)`, so repeated calls -- from any thread --
-// materialise the same task. Labelled examples whose nodes fall outside
+// materialise the same task. Costs O(task), whatever |V| is: the task is
+// built by BfsSubgraph (graph/sampling.h) and the support is remapped
+// through the task's own node list. Labelled examples whose nodes fall outside
 // the sampled subgraph are dropped (entirely, when the query itself does).
 // Node ids outside [0, g.num_nodes()) -- in the query or in the support
 // observations -- and empty graphs return a non-OK Status (these arrive
@@ -100,6 +102,7 @@ class CommunitySearchEngine {
   // (the serving layer's slot), the request is looked up before its task
   // is built: a hit applies the threshold to the stored member scores, a
   // miss runs the full pipeline and stores them (serve/context_cache.h).
+  // Concurrent requests for a key whose miss is in flight wait for it.
   StatusOr<QueryResult> Query(const Graph& g, NodeId query,
                               const std::vector<QueryExample>& labelled = {},
                               const QueryOptions& options = {}) const;

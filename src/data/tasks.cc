@@ -70,11 +70,11 @@ bool SampleTask(const Graph& g, const TaskConfig& cfg,
       }
       if (!ok) continue;
     }
-    const std::vector<NodeId> nodes = BfsSample(g, seed, cfg.subgraph_size, rng);
+    std::vector<NodeId> nodes;
+    Graph sub = BfsSubgraph(g, seed, cfg.subgraph_size, rng, &nodes);
     const int64_t min_nodes =
         cfg.clamp_samples ? 8 : cfg.pos_samples + cfg.neg_samples + 2;
-    if (static_cast<int64_t>(nodes.size()) < min_nodes) continue;
-    Graph sub = InducedSubgraph(g, nodes);
+    if (sub.num_nodes() < min_nodes) continue;
 
     // Community membership counts within the subgraph.
     const int64_t n = sub.num_nodes();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -268,43 +269,38 @@ Graph GraphBuilder::Build() {
   return g;
 }
 
-Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
-                      std::vector<NodeId>* new_of_old) {
-  std::vector<NodeId> map(g.num_nodes(), -1);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    CGNP_CHECK_EQ(map[nodes[i]], -1) << " duplicate node in InducedSubgraph";
-    map[nodes[i]] = static_cast<NodeId>(i);
-  }
-  GraphBuilder b(static_cast<int64_t>(nodes.size()));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId v = nodes[i];
-    for (NodeId u : g.Neighbors(v)) {
-      if (map[u] > static_cast<NodeId>(i)) {
-        b.AddEdge(static_cast<NodeId>(i), map[u]);
-      }
+Graph GraphBuilder::FromLocalRows(const Graph& parent,
+                                  std::span<const NodeId> nodes,
+                                  std::vector<int64_t> row_ptr,
+                                  std::vector<NodeId> col_idx) {
+  const size_t n = nodes.size();
+  CGNP_CHECK_EQ(row_ptr.size(), n + 1);
+  CGNP_CHECK_EQ(row_ptr.front(), 0);
+  CGNP_CHECK_EQ(row_ptr.back(), static_cast<int64_t>(col_idx.size()));
+  Graph g;
+  g.num_nodes_ = static_cast<int64_t>(n);
+  g.row_ptr_ = std::move(row_ptr);
+  g.col_idx_ = std::move(col_idx);
+  if (parent.has_features()) {
+    const int64_t d = parent.feature_dim();
+    g.feature_dim_ = d;
+    g.features_.resize(n * d);
+    for (size_t i = 0; i < n; ++i) {
+      const float* src = parent.features().data() + nodes[i] * d;
+      std::copy(src, src + d, g.features_.data() + i * d);
     }
   }
-  if (g.has_features()) {
-    const int64_t d = g.feature_dim();
-    std::vector<float> feats(nodes.size() * d);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const float* src = g.features().data() + nodes[i] * d;
-      std::copy(src, src + d, feats.data() + i * d);
+  if (parent.has_attributes()) {
+    std::tie(g.attr_ptr_, g.attr_ids_) = FlattenAttributes(
+        n, [&](size_t i) { return parent.Attributes(nodes[i]); });
+  }
+  if (parent.has_communities()) {
+    g.community_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      g.community_[i] = parent.CommunityOf(nodes[i]);
     }
-    b.SetFeatures(d, std::move(feats));
   }
-  if (g.has_attributes()) {
-    auto [ptr, ids] = FlattenAttributes(
-        nodes.size(), [&](size_t i) { return g.Attributes(nodes[i]); });
-    b.SetAttributes(std::move(ptr), std::move(ids));
-  }
-  if (g.has_communities()) {
-    std::vector<int64_t> comm(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) comm[i] = g.CommunityOf(nodes[i]);
-    b.SetCommunities(std::move(comm));
-  }
-  if (new_of_old != nullptr) *new_of_old = std::move(map);
-  return b.Build();
+  return g;
 }
 
 }  // namespace cgnp

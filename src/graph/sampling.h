@@ -1,5 +1,11 @@
 // Subgraph sampling used by the task generators (Section VII-A of the
 // paper: "one task is generated by sampling a subgraph of 200 nodes by BFS").
+//
+// Every task graph -- training tasks (SampleTask) and query tasks
+// (BuildQueryTask) -- is built by BfsSubgraph in one pass. Its cost grows
+// with the task, not with the parent graph: the nodes found so far live in
+// a small open-addressing table sized from the task, and no |V|-sized
+// buffer is allocated or cleared.
 #ifndef CGNP_GRAPH_SAMPLING_H_
 #define CGNP_GRAPH_SAMPLING_H_
 
@@ -15,14 +21,18 @@ namespace cgnp {
 // Neighbor expansion order is randomised via `rng` so repeated calls from
 // the same seed produce different (overlapping) subgraphs. The returned
 // node ids are in visitation order; the result always contains `seed`.
+// Draws one Rng::Shuffle per visited node; memory is O(result).
 std::vector<NodeId> BfsSample(const Graph& g, NodeId seed, int64_t max_nodes,
                               Rng* rng);
 
-// BFS sample that keeps expanding from random restart nodes until
-// `max_nodes` is reached or the whole graph is exhausted (useful on graphs
-// with small components, e.g. ego networks).
-std::vector<NodeId> BfsSampleWithRestarts(const Graph& g, NodeId seed,
-                                          int64_t max_nodes, Rng* rng);
+// BfsSample and InducedSubgraph in one pass: `*nodes` receives exactly what
+// BfsSample(g, seed, max_nodes, rng) returns (with the same Rng draws), and
+// the result is bitwise the graph InducedSubgraph(g, *nodes) returns --
+// canonical CSR, features, attributes and communities -- without the
+// |V|-sized maps or the GraphBuilder edge-list pass. Each visited node's
+// row is recorded while it is expanded. Always vector-backed.
+Graph BfsSubgraph(const Graph& g, NodeId seed, int64_t max_nodes, Rng* rng,
+                  std::vector<NodeId>* nodes);
 
 }  // namespace cgnp
 

@@ -107,38 +107,70 @@ const ContextCache::Entry* ContextCache::Find(const Key& key,
                                               bool want_scores) {
   auto it = index_.find(key);
   if (it == index_.end() || (it->second->scores != nullptr) != want_scores) {
-    ++misses_;
-    GlobalCacheMetrics().misses->Increment();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  GlobalCacheMetrics().hits->Increment();
   return &*it->second;
 }
 
+void ContextCache::Count(bool hit) {
+  if (hit) {
+    ++hits_;
+    GlobalCacheMetrics().hits->Increment();
+  } else {
+    ++misses_;
+    GlobalCacheMetrics().misses->Increment();
+  }
+}
+
+ContextCache::Claim::~Claim() {
+  if (cache_ != nullptr) cache_->Release(key_);
+}
+
+void ContextCache::Release(const Key& key) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    claimed_.erase(key);
+  }
+  claim_released_.notify_all();
+}
+
 bool ContextCache::Get(const Key& key,
-                       std::shared_ptr<const MemberScores>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Entry* entry = Find(key, /*want_scores=*/true);
-  if (entry == nullptr) return false;
-  *out = entry->scores;
-  return true;
+                       std::shared_ptr<const MemberScores>* out,
+                       Claim* claim) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const Entry* entry = nullptr;
+  claim_released_.wait(lock, [&] {
+    entry = Find(key, /*want_scores=*/true);
+    return entry != nullptr || claimed_.count(key) == 0;
+  });
+  Count(entry != nullptr);
+  if (entry != nullptr) {
+    *out = entry->scores;
+    return true;
+  }
+  if (capacity_ > 0) {
+    claimed_.insert(key);
+    claim->cache_ = this;
+    claim->key_ = key;
+  }
+  return false;
 }
 
 bool ContextCache::Get(const Key& key, Tensor* out) {
   std::lock_guard<std::mutex> lock(mu_);
   const Entry* entry = Find(key, /*want_scores=*/false);
+  Count(entry != nullptr);
   if (entry == nullptr) return false;
   *out = entry->context;
   return true;
 }
 
-void ContextCache::Put(const Key& key, MemberScores scores) {
-  if (capacity_ <= 0) return;
+void ContextCache::Put(Claim claim, MemberScores scores) {
+  if (claim.cache_ == nullptr) return;
   std::vector<NodeId> nodes = scores.nodes;
   std::sort(nodes.begin(), nodes.end());
-  Insert(Entry{key, Tensor(),
+  Insert(Entry{claim.key_, Tensor(),
                std::make_shared<const MemberScores>(std::move(scores)),
                std::move(nodes)});
 }

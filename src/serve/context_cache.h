@@ -40,11 +40,13 @@
 #ifndef CGNP_SERVE_CONTEXT_CACHE_H_
 #define CGNP_SERVE_CONTEXT_CACHE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -103,14 +105,42 @@ class ContextCache {
   // (Get always misses, Put is a no-op).
   explicit ContextCache(int64_t capacity);
 
+  // The right to fill one missed request key. While a claim is alive,
+  // Gets of its key wait for it instead of missing too (single-flight), so
+  // N concurrent requests for one cold key cost one miss and N - 1 hits.
+  // Put fills the key and releases the claim; a claim dropped unfilled --
+  // the miss failed -- releases the waiters, and the first of them to look
+  // again takes the claim over and runs its own miss.
+  class Claim {
+   public:
+    Claim() = default;
+    Claim(Claim&& other) noexcept
+        : cache_(std::exchange(other.cache_, nullptr)), key_(other.key_) {}
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    Claim& operator=(Claim&&) = delete;
+    ~Claim();
+
+   private:
+    friend class ContextCache;
+    ContextCache* cache_ = nullptr;  // null: holds nothing
+    Key key_;
+  };
+
   // On hit, shares the stored scores into *out, promotes the entry to
-  // most-recently-used, and returns true. An entry holding a context is a
-  // miss here (and a scores entry is one for the Tensor overload).
-  bool Get(const Key& key, std::shared_ptr<const MemberScores>* out);
-  // Inserts (or refreshes) a request entry, evicting the least-recently-
-  // used entry when over capacity. Its coverage is the set of
-  // `scores.nodes`.
-  void Put(const Key& key, MemberScores scores);
+  // most-recently-used, and returns true. While another caller holds the
+  // key's claim, waits for it to be filled or dropped first. On a miss,
+  // returns false and hands the caller the key's claim in *claim, which
+  // must be empty (and stays empty when caching is disabled); the caller
+  // fills it with Put. An
+  // entry holding a context is a miss here (and a scores entry is one for
+  // the Tensor overload).
+  bool Get(const Key& key, std::shared_ptr<const MemberScores>* out,
+           Claim* claim);
+  // Inserts (or refreshes) the claimed key's request entry, evicting the
+  // least-recently-used entry when over capacity, then releases the claim.
+  // Its coverage is the set of `scores.nodes`. No-op for an empty claim.
+  void Put(Claim claim, MemberScores scores);
 
   // Context entries, same LRU and counters. On hit, copies the cached
   // context into *out. `nodes` records which parent-graph nodes the
@@ -167,11 +197,17 @@ class ContextCache {
   // Most-recently-used at the front.
   std::list<Entry> lru_;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  // Request keys with a live Claim; Gets of them wait on claim_released_.
+  std::unordered_set<Key, KeyHash> claimed_;
+  std::condition_variable claim_released_;
 
-  // The entry under `key` promoted to most-recently-used and counted as a
-  // hit, or nullptr (counted as a miss) when absent or holding the other
-  // kind of value. Caller holds mu_.
+  // The entry under `key` promoted to most-recently-used, or nullptr when
+  // absent or holding the other kind of value. Caller holds mu_.
   const Entry* Find(const Key& key, bool want_scores);
+  // Counts one lookup's outcome. Caller holds mu_.
+  void Count(bool hit);
+  // Drops `key`'s claim and wakes the Gets waiting for it.
+  void Release(const Key& key);
   // Shared insert/refresh/evict step of the Put overloads.
   void Insert(Entry entry);
   uint64_t hits_ = 0;

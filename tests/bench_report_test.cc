@@ -212,6 +212,32 @@ TEST(CompareTest, IdenticalReportsAreClean) {
   ASSERT_EQ(result.cases.size(), 1u);
 }
 
+TEST(CompareTest, NotesHostMismatches) {
+  auto base = MakeReport("s", {MakeRow("a", 100, 0.8)});
+  auto cur = base;
+  base.meta.host_cores = 1;
+  cur.meta.host_cores = 4;
+  const CompareResult cores = CompareReports({base}, {cur}, CompareOptions{});
+  EXPECT_TRUE(cores.ok()) << "a note is not a failure";
+  ASSERT_EQ(cores.host_notes.size(), 1u);
+  EXPECT_NE(cores.host_notes[0].find("1 cores"), std::string::npos);
+  EXPECT_NE(cores.host_notes[0].find("4 cores"), std::string::npos);
+
+  cur.meta.host_simd = "avx2";
+  base.meta.host_simd = "scalar";
+  EXPECT_EQ(CompareReports({base}, {cur}, CompareOptions{}).host_notes.size(),
+            2u);
+
+  // Matching hosts, and reports that never recorded the core count, are
+  // silent.
+  cur.meta = base.meta;
+  EXPECT_TRUE(
+      CompareReports({base}, {cur}, CompareOptions{}).host_notes.empty());
+  cur.meta.host_cores = 0;
+  EXPECT_TRUE(
+      CompareReports({base}, {cur}, CompareOptions{}).host_notes.empty());
+}
+
 TEST(CompareTest, TwoTimesSlowdownRegresses) {
   const auto base = MakeReport("s", {MakeRow("a", 100, 0.8)});
   const auto slow = MakeReport("s", {MakeRow("a", 200, 0.8)});
