@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "tensor/workspace.h"
-
 namespace cgnp {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -43,10 +41,6 @@ void ThreadPool::WorkerLoop() {
     void* volatile warm = std::malloc(1);
     std::free(warm);
   }
-  // Likewise this thread's tensor arena (tensor/workspace.h): its
-  // thread-local construction would otherwise land in the first request a
-  // serving worker runs. Blocks are reserved only on first use.
-  Workspace::ThreadLocal();
   for (;;) {
     std::function<void()> fn;
     {

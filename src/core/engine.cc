@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -41,25 +40,17 @@ StatusOr<LocalQueryTask> BuildQueryTask(
 
   LocalQueryTask out;
   Rng rng(seed ^ static_cast<uint64_t>(query + 1));
+  // The BFS's own node table is the task's one parent-id -> local-id map;
+  // the support lists are remapped through it.
+  TaskNodeIndex local_of;
   out.graph = AttachTaskFeatures(
-      BfsSubgraph(g, query, tasks.subgraph_size, &rng, &out.nodes),
+      BfsSubgraph(g, query, tasks.subgraph_size, &rng, &out.nodes, &local_of),
       attribute_dim);
   out.query = 0;  // the BFS seed is the task's first node
 
-  // Remap user-provided support observations into the task subgraph,
-  // through the task's (parent id, local id) pairs sorted by parent id.
-  std::vector<std::pair<NodeId, NodeId>> local_of;
-  if (!labelled.empty()) {
-    local_of.reserve(out.nodes.size());
-    for (size_t i = 0; i < out.nodes.size(); ++i) {
-      local_of.emplace_back(out.nodes[i], static_cast<NodeId>(i));
-    }
-    std::sort(local_of.begin(), local_of.end());
-  }
-  auto local_id = [&local_of](NodeId v) -> NodeId {
-    const auto it = std::lower_bound(local_of.begin(), local_of.end(),
-                                     std::pair<NodeId, NodeId>(v, -1));
-    return it != local_of.end() && it->first == v ? it->second : -1;
+  // Remap user-provided support observations into the task subgraph.
+  auto local_id = [&local_of](NodeId v) {
+    return static_cast<NodeId>(local_of.Find(v));
   };
   for (const auto& ex : labelled) {
     if (local_id(ex.query) < 0) continue;

@@ -48,8 +48,9 @@ struct LocalQueryTask {
 // seeded with `seed ^ (query + 1)`, so repeated calls -- from any thread --
 // materialise the same task. Costs O(task), whatever |V| is: the task is
 // built by BfsSubgraph (graph/sampling.h) and the support is remapped
-// through the task's own node list. Labelled examples whose nodes fall outside
-// the sampled subgraph are dropped (entirely, when the query itself does).
+// through the BFS's node table (TaskNodeIndex). Labelled examples whose
+// nodes fall outside the sampled subgraph are dropped (entirely, when the
+// query itself does).
 // Node ids outside [0, g.num_nodes()) -- in the query or in the support
 // observations -- and empty graphs return a non-OK Status (these arrive
 // straight from serving requests and must never abort the process).

@@ -1,5 +1,6 @@
 #include "graph/format.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -68,6 +69,14 @@ struct ParsedGraphFile {
   bool has_comms = false;
   uint64_t fingerprint = 0;
 };
+
+// splitmix64's finaliser over an undirected edge {lo, hi}, lo < hi.
+uint64_t MixEdge(uint64_t lo, uint64_t hi) {
+  uint64_t x = (lo * 0x9E3779B97F4A7C15ull) ^ hi;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
 
 Status Corrupt(const std::string& what) {
   return DataLossError("corrupt graph container: " + what);
@@ -227,6 +236,15 @@ Status ParseGraphFile(const uint8_t* data, size_t size, bool verify_checksums,
   if (p.row_ptr[n] != static_cast<int64_t>(h.num_directed_edges)) {
     return Corrupt("row_ptr[n] disagrees with the edge count");
   }
+  // Symmetry (u lists v exactly when v lists u), which task-graph
+  // assembly relies on (graph/sampling.h): every undirected edge must be
+  // listed once from each end. Adding a 64-bit mix of the pair {v, u} when
+  // v < u and subtracting it when v > u sums to zero over a symmetric CSR;
+  // an asymmetric one leaves a nonzero sum unless the unmatched mixes
+  // cancel, a 2^-64 coincidence. One sequential pass, no per-node state:
+  // matching each entry to its reverse directly would read col_idx at
+  // random and cost several times the rest of this validation.
+  uint64_t balance = 0;
   const int64_t sn = static_cast<int64_t>(n);
   for (uint64_t v = 0; v < n; ++v) {
     int64_t prev = -1;
@@ -244,8 +262,14 @@ Status ParseGraphFile(const uint8_t* data, size_t size, bool verify_checksums,
                        std::to_string(v));
       }
       prev = u;
+      // Branch-free: which end the edge is read from is a coin flip.
+      const auto w = static_cast<uint64_t>(u);
+      const uint64_t mix = MixEdge(std::min(v, w), std::max(v, w));
+      const uint64_t negate = 0 - static_cast<uint64_t>(w < v);
+      balance += (mix ^ negate) - negate;
     }
   }
+  if (balance != 0) return Corrupt("asymmetric adjacency");
   if (!p.attr_ptr.empty()) {
     if (p.attr_ptr[0] != 0) return Corrupt("attr_ptr[0] != 0");
     for (uint64_t v = 0; v < n; ++v) {

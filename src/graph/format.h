@@ -20,11 +20,11 @@
 // match the header's dimensions), per-section checksums, and the CSR
 // semantic invariants (monotone row pointers ending at the edge count,
 // sorted strictly-increasing in-range neighbor lists, no self loops,
-// monotone attribute pointers, community ids >= -1). Checksum
-// verification is the only optional step (MapOptions::verify_checksums)
-// -- skipping it preserves the lazy-page property for huge files; every
-// structural and semantic check always runs, so a corrupt file can never
-// produce out-of-bounds CSR accesses.
+// symmetric adjacency, monotone attribute pointers, community ids >= -1).
+// Checksum verification is the only optional step
+// (MapOptions::verify_checksums) -- skipping it preserves the lazy-page
+// property for huge files; every structural and semantic check always
+// runs, so a corrupt file can never produce out-of-bounds CSR accesses.
 //
 // Error model (API v1, same discipline as docs/CHECKPOINT_FORMAT.md):
 // graph containers are external input, so every load-path failure --

@@ -232,7 +232,9 @@ class GraphBuilder {
 
   // The subgraph of `parent` on `nodes` (position i becomes local id i)
   // from its finished CSR in local ids: every row sorted, without repeats
-  // or self loops -- what Build makes of the subgraph's edges. Features,
+  // or self loops -- what Build makes of the subgraph's edges. The rows
+  // are taken as given: the caller keeps them symmetric, as the rows of a
+  // symmetric parent restricted to `nodes` are. Features,
   // attributes and community labels are gathered from `parent` for
   // `nodes`. No edge list, bucket or sort pass; the arrays are moved in.
   // The one assembly step of task graphs (graph/sampling.h).
@@ -263,12 +265,14 @@ Status CheckNodeId(const Graph& g, NodeId v, const char* what = "node");
 
 // Induced subgraph on `nodes` (order defines new ids). Features, attributes
 // and community labels are carried over. If `new_of_old` is non-null it
-// receives a num_nodes-sized map old-id -> new-id (-1 when dropped); that
-// fill is the only |V|-sized work, so pass null unless the caller indexes
-// the map by parent id. Always returns a vector-backed Graph, whatever
-// backs `g` -- task subgraphs stay small and owned even when the parent
-// graph is mapped. Task graphs come from BfsSubgraph (graph/sampling.h),
-// which samples and builds in one pass; this function is defined beside it.
+// receives the num_nodes-sized map old-id -> new-id (-1 when dropped) that
+// the rows are built through. Each row comes from that node's own parent
+// row, so `g` must be symmetric, as every GraphBuilder graph and every
+// validated graph container is. Always returns a vector-backed Graph,
+// whatever backs `g` -- subgraphs stay small and owned even when the
+// parent graph is mapped. Task graphs come from BfsSubgraph
+// (graph/sampling.h), which needs no |V|-sized map; this function is
+// defined beside it.
 Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
                       std::vector<NodeId>* new_of_old = nullptr);
 

@@ -1,7 +1,6 @@
 #include "graph/sampling.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.h"
 
@@ -14,102 +13,41 @@ namespace {
 // pay for |V| before it has found anything; the table grows past it.
 constexpr int64_t kMaxInitialNodes = int64_t{1} << 16;
 
-// Open-addressing map from parent node id to task position, holding only
-// the nodes a task has found. Linear probing over a power-of-two table that
-// is kept at most half full: it starts from the expected task size and
-// doubles with what it holds, so its size never depends on |V|.
-class NodeTable {
- public:
-  explicit NodeTable(int64_t expected) {
-    size_t cap = 16;
-    while (cap < 2 * static_cast<size_t>(expected)) cap <<= 1;
-    Resize(cap);
-  }
-
-  // Task position of v, or -1 when v is not in the table.
-  int64_t Find(NodeId v) const {
-    for (size_t i = Home(v);; i = (i + 1) & mask_) {
-      if (slots_[i].node == v) return slots_[i].pos;
-      if (slots_[i].node < 0) return -1;
-    }
-  }
-
-  // Records v (absent) at task position `pos`.
-  void Insert(NodeId v, int64_t pos) {
-    if (2 * (size_ + 1) > slots_.size()) {
-      std::vector<Slot> old = std::move(slots_);
-      Resize(2 * old.size());
-      for (const Slot& s : old) {
-        if (s.node >= 0) Place(s);
-      }
-    }
-    Place({v, pos});
-    ++size_;
-  }
-
- private:
-  struct Slot {
-    NodeId node = -1;  // -1: empty
-    int64_t pos = -1;
-  };
-
-  void Resize(size_t cap) {
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-    shift_ = 64 - std::countr_zero(cap);
-  }
-  // Fibonacci hashing: node ids are often dense runs, which the
-  // multiplication spreads over the table.
-  size_t Home(NodeId v) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-  void Place(const Slot& s) {
-    size_t i = Home(s.node);
-    while (slots_[i].node >= 0) i = (i + 1) & mask_;
-    slots_[i] = s;
-  }
-
-  std::vector<Slot> slots_;
-  size_t mask_ = 0;
-  int shift_ = 0;
-  size_t size_ = 0;
-};
-
-// Closes the row that starts at row_ptr->back() in *col: sorts it and drops
-// repeats, the canonical order GraphBuilder::Build gives a neighbour list.
+// Closes the row that starts at row_ptr->back() in *col: sorts it, the
+// canonical order GraphBuilder::Build gives a neighbour list. A parent row
+// holds neither repeats nor its own node (GraphBuilder drops both, the
+// container validator rejects both), and parent ids map one-to-one to task
+// positions, so neither does the row.
 void CloseRow(std::vector<NodeId>* col, std::vector<int64_t>* row_ptr) {
-  const auto first = col->begin() + row_ptr->back();
-  std::sort(first, col->end());
-  col->erase(std::unique(first, col->end()), col->end());
+  std::sort(col->begin() + row_ptr->back(), col->end());
   row_ptr->push_back(static_cast<int64_t>(col->size()));
 }
 
 // The BFS behind BfsSample and BfsSubgraph. Appends the visited nodes to
-// `nodes` in visiting order; `nodes` doubles as the FIFO queue, and
-// neighbour lists are shuffled in one reused buffer. Only the first
-// `max_nodes` nodes found are kept: a node found later could never be
-// visited. So when the BFS ends, every node found has been visited -- the
-// queue ran dry, or the budget was reached with exactly `max_nodes` found
-// -- and every position recorded below is a task node.
+// `nodes` in visiting order and their positions to `table`; `nodes` doubles
+// as the FIFO queue, and neighbour lists are shuffled in one reused buffer.
+// Only the first `max_nodes` nodes found are kept: a node found later could
+// never be visited. So when the BFS ends, every node found has been visited
+// -- the queue ran dry, or the budget was reached with exactly `max_nodes`
+// found -- and every position recorded below is a task node.
 //
 // With `row_ptr` ({0} on entry) and `col` set, each visited node's row is
-// recorded as it is expanded: the task positions of its neighbours, less
-// its own, closed by CloseRow. That is the induced subgraph's CSR.
+// recorded as it is expanded: the task positions of its neighbours, closed
+// by CloseRow. That is the induced subgraph's CSR.
 void Bfs(const Graph& g, NodeId seed, int64_t max_nodes, Rng* rng,
-         std::vector<NodeId>* nodes, std::vector<int64_t>* row_ptr,
-         std::vector<NodeId>* col) {
+         std::vector<NodeId>* nodes, TaskNodeIndex* table,
+         std::vector<int64_t>* row_ptr, std::vector<NodeId>* col) {
   CGNP_CHECK_GE(seed, 0);
   CGNP_CHECK_LT(seed, g.num_nodes());
   CGNP_CHECK_GT(max_nodes, 0);
   const int64_t expected =
       std::min({max_nodes, g.num_nodes(), kMaxInitialNodes});
-  NodeTable table(expected);
+  *table = TaskNodeIndex(expected);
   nodes->clear();
   nodes->reserve(static_cast<size_t>(expected));
   if (row_ptr != nullptr) row_ptr->reserve(static_cast<size_t>(expected) + 1);
   std::vector<NodeId> nbrs;
-  table.Insert(seed, 0);
+  table->Insert(seed, 0);
   nodes->push_back(seed);
   for (int64_t head = 0; head < static_cast<int64_t>(nodes->size()) &&
                          head < max_nodes;
@@ -118,14 +56,14 @@ void Bfs(const Graph& g, NodeId seed, int64_t max_nodes, Rng* rng,
     nbrs.assign(nb.begin(), nb.end());
     rng->Shuffle(&nbrs);
     for (NodeId u : nbrs) {
-      int64_t p = table.Find(u);
+      int64_t p = table->Find(u);
       if (p < 0) {
         p = static_cast<int64_t>(nodes->size());
         if (p == max_nodes) continue;
-        table.Insert(u, p);
+        table->Insert(u, p);
         nodes->push_back(u);
       }
-      if (col != nullptr && p != head) col->push_back(p);
+      if (col != nullptr) col->push_back(p);
     }
     if (col != nullptr) CloseRow(col, row_ptr);
   }
@@ -136,45 +74,49 @@ void Bfs(const Graph& g, NodeId seed, int64_t max_nodes, Rng* rng,
 std::vector<NodeId> BfsSample(const Graph& g, NodeId seed, int64_t max_nodes,
                               Rng* rng) {
   std::vector<NodeId> out;
-  Bfs(g, seed, max_nodes, rng, &out, nullptr, nullptr);
+  TaskNodeIndex table;
+  Bfs(g, seed, max_nodes, rng, &out, &table, nullptr, nullptr);
   return out;
 }
 
 Graph BfsSubgraph(const Graph& g, NodeId seed, int64_t max_nodes, Rng* rng,
-                  std::vector<NodeId>* nodes) {
+                  std::vector<NodeId>* nodes, TaskNodeIndex* index) {
   std::vector<int64_t> row_ptr{0};
   std::vector<NodeId> col;
-  Bfs(g, seed, max_nodes, rng, nodes, &row_ptr, &col);
+  TaskNodeIndex table;
+  Bfs(g, seed, max_nodes, rng, nodes, &table, &row_ptr, &col);
+  if (index != nullptr) *index = std::move(table);
   return GraphBuilder::FromLocalRows(g, *nodes, std::move(row_ptr),
                                      std::move(col));
 }
 
-// Declared in graph/graph.h; defined here to share the node table and the
-// row assembly with BfsSubgraph.
+// Declared in graph/graph.h; defined here to share the row assembly with
+// BfsSubgraph. Its callers (the classical backends) index the |V|-sized
+// map by parent id anyway, so rows are built through it: an array read per
+// neighbour, into a column array reserved for the nodes' whole degree.
 Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes,
                       std::vector<NodeId>* new_of_old) {
+  std::vector<NodeId> own_map;
+  std::vector<NodeId>& map = new_of_old != nullptr ? *new_of_old : own_map;
+  map.assign(static_cast<size_t>(g.num_nodes()), -1);
   const int64_t n = static_cast<int64_t>(nodes.size());
-  NodeTable table(n);
+  int64_t degree_sum = 0;
   for (int64_t i = 0; i < n; ++i) {
     CGNP_CHECK_GE(nodes[i], 0);
     CGNP_CHECK_LT(nodes[i], g.num_nodes());
-    CGNP_CHECK_LT(table.Find(nodes[i]), 0)
-        << " duplicate node in InducedSubgraph";
-    table.Insert(nodes[i], i);
+    CGNP_CHECK_EQ(map[nodes[i]], -1) << " duplicate node in InducedSubgraph";
+    map[nodes[i]] = i;
+    degree_sum += g.Degree(nodes[i]);
   }
   std::vector<int64_t> row_ptr{0};
   row_ptr.reserve(static_cast<size_t>(n) + 1);
   std::vector<NodeId> col;
+  col.reserve(static_cast<size_t>(degree_sum));
   for (int64_t i = 0; i < n; ++i) {
     for (NodeId u : g.Neighbors(nodes[i])) {
-      const int64_t p = table.Find(u);
-      if (p >= 0 && p != i) col.push_back(p);
+      if (map[u] >= 0) col.push_back(map[u]);
     }
     CloseRow(&col, &row_ptr);
-  }
-  if (new_of_old != nullptr) {
-    new_of_old->assign(static_cast<size_t>(g.num_nodes()), -1);
-    for (int64_t i = 0; i < n; ++i) (*new_of_old)[nodes[i]] = i;
   }
   return GraphBuilder::FromLocalRows(g, nodes, std::move(row_ptr),
                                      std::move(col));

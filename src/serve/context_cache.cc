@@ -1,6 +1,7 @@
 #include "serve/context_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "tensor/workspace.h"
@@ -124,35 +125,53 @@ void ContextCache::Count(bool hit) {
 }
 
 ContextCache::Claim::~Claim() {
-  if (cache_ != nullptr) cache_->Release(key_);
+  if (cache_ != nullptr && owns_flight_) {
+    cache_->Finish(key_, Flight::kFailed);
+  }
 }
 
-void ContextCache::Release(const Key& key) {
+void ContextCache::Finish(const Key& key, Flight::State state) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    claimed_.erase(key);
+    const auto it = flights_.find(key);
+    it->second->state = state;
+    flights_.erase(it);
   }
-  claim_released_.notify_all();
+  flight_done_.notify_all();
 }
 
 bool ContextCache::Get(const Key& key,
                        std::shared_ptr<const MemberScores>* out,
                        Claim* claim) {
   std::unique_lock<std::mutex> lock(mu_);
-  const Entry* entry = nullptr;
-  claim_released_.wait(lock, [&] {
-    entry = Find(key, /*want_scores=*/true);
-    return entry != nullptr || claimed_.count(key) == 0;
-  });
-  Count(entry != nullptr);
-  if (entry != nullptr) {
-    *out = entry->scores;
-    return true;
+  bool owns_flight = true;
+  for (;;) {
+    if (const Entry* entry = Find(key, /*want_scores=*/true)) {
+      Count(true);
+      *out = entry->scores;
+      return true;
+    }
+    const auto it = flights_.find(key);
+    if (it == flights_.end()) break;
+    const std::shared_ptr<Flight> flight = it->second;
+    ++waiting_;
+    flight_done_.wait(lock,
+                      [&] { return flight->state != Flight::kInFlight; });
+    --waiting_;
+    // A failed miss would fail again for every waiter: run them side by
+    // side rather than hand the flight on one at a time.
+    if (flight->state == Flight::kFailed) {
+      owns_flight = false;
+      break;
+    }
+    // Filled: look again (the entry may already be evicted).
   }
+  Count(false);
   if (capacity_ > 0) {
-    claimed_.insert(key);
+    if (owns_flight) flights_.emplace(key, std::make_shared<Flight>());
     claim->cache_ = this;
     claim->key_ = key;
+    claim->owns_flight_ = owns_flight;
   }
   return false;
 }
@@ -173,6 +192,9 @@ void ContextCache::Put(Claim claim, MemberScores scores) {
   Insert(Entry{claim.key_, Tensor(),
                std::make_shared<const MemberScores>(std::move(scores)),
                std::move(nodes)});
+  if (std::exchange(claim.owns_flight_, false)) {
+    Finish(claim.key_, Flight::kFilled);
+  }
 }
 
 void ContextCache::Put(const Key& key, Tensor context) {
@@ -255,6 +277,11 @@ void ContextCache::Clear() {
 int64_t ContextCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(lru_.size());
+}
+
+int64_t ContextCache::waiting() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return waiting_;
 }
 
 uint64_t ContextCache::hits() const {

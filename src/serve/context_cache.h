@@ -46,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -105,17 +104,21 @@ class ContextCache {
   // (Get always misses, Put is a no-op).
   explicit ContextCache(int64_t capacity);
 
-  // The right to fill one missed request key. While a claim is alive,
-  // Gets of its key wait for it instead of missing too (single-flight), so
-  // N concurrent requests for one cold key cost one miss and N - 1 hits.
-  // Put fills the key and releases the claim; a claim dropped unfilled --
-  // the miss failed -- releases the waiters, and the first of them to look
-  // again takes the claim over and runs its own miss.
+  // The right to fill one missed request key. While the miss that owns a
+  // key's claim is in flight, Gets of that key wait for it instead of
+  // missing too (single-flight), so N concurrent requests for one cold key
+  // cost one miss and N - 1 hits. Put fills the key and releases the
+  // claim. A claim dropped unfilled -- the miss failed -- hands the failure
+  // to the Gets already waiting for it: each returns a miss at once with a
+  // claim that may Put but holds nobody up, so they run their own misses
+  // side by side instead of one after another.
   class Claim {
    public:
     Claim() = default;
     Claim(Claim&& other) noexcept
-        : cache_(std::exchange(other.cache_, nullptr)), key_(other.key_) {}
+        : cache_(std::exchange(other.cache_, nullptr)),
+          key_(other.key_),
+          owns_flight_(other.owns_flight_) {}
     Claim(const Claim&) = delete;
     Claim& operator=(const Claim&) = delete;
     Claim& operator=(Claim&&) = delete;
@@ -125,16 +128,17 @@ class ContextCache {
     friend class ContextCache;
     ContextCache* cache_ = nullptr;  // null: holds nothing
     Key key_;
+    // Whether other Gets of the key wait for this claim.
+    bool owns_flight_ = false;
   };
 
   // On hit, shares the stored scores into *out, promotes the entry to
-  // most-recently-used, and returns true. While another caller holds the
-  // key's claim, waits for it to be filled or dropped first. On a miss,
-  // returns false and hands the caller the key's claim in *claim, which
-  // must be empty (and stays empty when caching is disabled); the caller
-  // fills it with Put. An
-  // entry holding a context is a miss here (and a scores entry is one for
-  // the Tensor overload).
+  // most-recently-used, and returns true. While another caller's miss of
+  // the key is in flight, waits for it to be filled or dropped first. On a
+  // miss, returns false and hands the caller a claim in *claim, which must
+  // be empty (and stays empty when caching is disabled); the caller fills
+  // it with Put. An entry holding a context is a miss here (and a scores
+  // entry is one for the Tensor overload).
   bool Get(const Key& key, std::shared_ptr<const MemberScores>* out,
            Claim* claim);
   // Inserts (or refreshes) the claimed key's request entry, evicting the
@@ -166,6 +170,8 @@ class ContextCache {
 
   int64_t size() const;
   int64_t capacity() const { return capacity_; }
+  // Gets currently waiting for another caller's miss of the same key.
+  int64_t waiting() const;
   uint64_t hits() const;
   uint64_t misses() const;
   // Entries displaced by capacity pressure over the cache's lifetime
@@ -197,17 +203,26 @@ class ContextCache {
   // Most-recently-used at the front.
   std::list<Entry> lru_;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  // Request keys with a live Claim; Gets of them wait on claim_released_.
-  std::unordered_set<Key, KeyHash> claimed_;
-  std::condition_variable claim_released_;
+  // One miss in flight: the owning Claim's progress, shared with the Gets
+  // that wait for it.
+  struct Flight {
+    enum State { kInFlight, kFilled, kFailed } state = kInFlight;
+  };
+  // Request keys whose owning Claim is alive; Gets of them wait on
+  // flight_done_ until the flight leaves kInFlight.
+  std::unordered_map<Key, std::shared_ptr<Flight>, KeyHash> flights_;
+  std::condition_variable flight_done_;
+  int64_t waiting_ = 0;
 
   // The entry under `key` promoted to most-recently-used, or nullptr when
   // absent or holding the other kind of value. Caller holds mu_.
   const Entry* Find(const Key& key, bool want_scores);
   // Counts one lookup's outcome. Caller holds mu_.
   void Count(bool hit);
-  // Drops `key`'s claim and wakes the Gets waiting for it.
-  void Release(const Key& key);
+  // Ends `key`'s flight as filled or failed and wakes the Gets waiting
+  // for it. Only the owning Claim calls it, and a key has at most one
+  // owning Claim, so the flight is always there.
+  void Finish(const Key& key, Flight::State state);
   // Shared insert/refresh/evict step of the Put overloads.
   void Insert(Entry entry);
   uint64_t hits_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <latch>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -60,6 +62,18 @@ QueryServer::QueryServer(std::unique_ptr<CommunitySearcher> backend,
       &reg.GetCounter("cgnp_serve_cache_retained_total", labels);
   metrics_.latency_ms = &reg.GetHistogram("cgnp_serve_latency_ms", labels);
   metrics_.queue_depth = &reg.GetGauge("cgnp_serve_queue_depth", labels);
+  // Each worker creates its thread-local tensor arena (tensor/workspace.h)
+  // before it takes a request, so that construction never lands inside a
+  // request's traced stages. The latch holds every worker until all have
+  // arrived, so each worker runs exactly one of these tasks.
+  auto warmed = std::make_shared<std::latch>(pool_.num_threads());
+  for (int i = 0; i < pool_.num_threads(); ++i) {
+    pool_.Submit([warmed] {
+      Workspace::ThreadLocal();
+      warmed->arrive_and_wait();
+    });
+  }
+  warmed->wait();
   CGNP_LOG(kDebug, "serve_start")
       .Str("backend", backend_name_)
       .Num("num_threads", options_.num_threads)

@@ -447,6 +447,29 @@ TEST(GraphFormatCorruption, SemanticCsrViolationsAreDataLoss) {
       "community id below -1");
 }
 
+TEST(GraphFormatCorruption, AsymmetricAdjacencyIsDataLoss) {
+  // Sorted, in-range rows without self loops, but u lists v while v does
+  // not list u. Task graphs copy each node's own row, so such a parent
+  // would yield an asymmetric task CSR; the validator refuses it.
+  GraphBuilder b(4);
+  b.AddEdge(0, 1);
+  b.AddEdge(2, 3);
+  const std::string bytes = SavedBytes(b.Build(), "asym_base.cgrf");
+  const GraphFileInfo info = InfoOf(bytes);
+  using Id = GraphSectionId;
+  // col_idx = [1, 0, 3, 2]. Node 2 lists 0, which lists only 1.
+  ExpectRejected(WithSectionValue<int64_t>(bytes, info, Id::kColIdx, 2, 0),
+                 "below-diagonal entry nobody lists back");
+  // Node 0 lists 3, whose row is [2].
+  ExpectRejected(WithSectionValue<int64_t>(bytes, info, Id::kColIdx, 0, 3),
+                 "above-diagonal entry not listed back");
+  // The untouched file maps.
+  const std::string path = TempPath("asym_base_ok.cgrf");
+  testing::WriteFile(path, bytes);
+  EXPECT_TRUE(MapGraphBinary(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(GraphFormatCorruption, UncheckedMapSkipsChecksumsButNotStructure) {
   const std::string path = TempPath("unchecked.cgrf");
   const std::string bytes = SavedBytes(RichGraph(), "unchecked_base.cgrf");

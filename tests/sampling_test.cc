@@ -165,7 +165,9 @@ void ExpectParity(const Graph& g) {
     const int64_t max_nodes = budgets[i % 4];
     Rng fused_rng(1000 + i), sample_rng(1000 + i), ref_rng(1000 + i);
     std::vector<NodeId> nodes;
-    const Graph fused = BfsSubgraph(g, seed, max_nodes, &fused_rng, &nodes);
+    TaskNodeIndex index;
+    const Graph fused =
+        BfsSubgraph(g, seed, max_nodes, &fused_rng, &nodes, &index);
     const std::vector<NodeId> sampled =
         BfsSample(g, seed, max_nodes, &sample_rng);
     const std::vector<NodeId> want = ReferenceBfs(g, seed, max_nodes, &ref_rng);
@@ -176,8 +178,16 @@ void ExpectParity(const Graph& g) {
     EXPECT_EQ(fused_rng.NextU64(), next);
     EXPECT_EQ(sample_rng.NextU64(), next);
 
+    // The handed-out index is the task's parent-id -> position map.
+    std::vector<int64_t> position(g.num_nodes(), -1);
+    for (size_t k = 0; k < want.size(); ++k) position[want[k]] = k;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(index.Find(v), position[v]) << "node " << v;
+    }
+
     const Graph ref = ReferenceInduced(g, want);
     ExpectSameGraph(fused, ref);
+    ExpectSameGraph(InducedSubgraph(g, want), ref);
     std::vector<NodeId> new_of_old;
     ExpectSameGraph(InducedSubgraph(g, want, &new_of_old), ref);
     ASSERT_EQ(static_cast<int64_t>(new_of_old.size()), g.num_nodes());

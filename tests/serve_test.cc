@@ -3,8 +3,10 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -168,6 +170,59 @@ TEST(ContextCacheTest, DroppedClaimHandsTheMissToAWaiter) {
   ContextCache::Claim unused;
   ASSERT_TRUE(cache.Get(key, &out, &unused));
   EXPECT_EQ(out->nodes, std::vector<NodeId>{7});
+}
+
+TEST(ContextCacheTest, FailedMissReleasesEveryWaiterAtOnce) {
+  // Eight concurrent requests for a key whose miss always fails: the first
+  // owns the flight, seven wait for it. When it fails, all seven must miss
+  // at once and run their own (failing) misses side by side -- none waits
+  // for another. Each waiter holds its claim until all seven hold theirs,
+  // which never happens if their misses run one after another.
+  ContextCache cache(4);
+  const ContextCache::Key key{1, 10};
+  constexpr int kWaiters = 7;
+  std::shared_ptr<const serve::MemberScores> out;
+  auto first = std::make_unique<ContextCache::Claim>();
+  ASSERT_FALSE(cache.Get(key, &out, first.get()));
+  std::mutex mu;
+  std::condition_variable cv;
+  int holding = 0;
+  bool gave_up = false;  // one waiter timed out: stop the rest waiting
+  std::atomic<int> side_by_side{0};
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < kWaiters; ++t) {
+    waiters.emplace_back([&] {
+      ContextCache::Claim claim;
+      std::shared_ptr<const serve::MemberScores> mine;
+      if (cache.Get(key, &mine, &claim)) return;
+      std::unique_lock<std::mutex> lock(mu);
+      ++holding;
+      cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return holding == kWaiters || gave_up; }) &&
+          !gave_up) {
+        ++side_by_side;
+      } else {
+        gave_up = true;
+        cv.notify_all();
+      }
+      // The claim drops here unfilled: this miss failed too.
+    });
+  }
+  while (cache.waiting() < kWaiters) std::this_thread::yield();
+  first.reset();  // the first miss fails without a Put
+  for (auto& th : waiters) th.join();
+  EXPECT_EQ(side_by_side.load(), kWaiters);
+  EXPECT_EQ(cache.misses(), static_cast<uint64_t>(kWaiters + 1));
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.waiting(), 0);
+  // No flight is left behind: the next lookup owns a fresh one at once.
+  ContextCache::Claim next;
+  EXPECT_FALSE(cache.Get(key, &out, &next));
+  cache.Put(std::move(next), serve::MemberScores{{2}, {0.5f}});
+  ContextCache::Claim unused;
+  ASSERT_TRUE(cache.Get(key, &out, &unused));
+  EXPECT_EQ(out->nodes, std::vector<NodeId>{2});
 }
 
 TEST(ContextCacheTest, TaskFingerprintSeparatesTasks) {
@@ -363,7 +418,6 @@ class GatedCgnpSearcher : public CommunitySearcher {
   }
 };
 
-
 TEST(QueryServerTest, ConcurrentRequestsForOneColdKeyMissOnce) {
   Graph g = PlantedGraph();
   CommunitySearchEngine engine = TrainedEngine(g);
@@ -382,6 +436,7 @@ TEST(QueryServerTest, ConcurrentRequestsForOneColdKeyMissOnce) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, batch.size() - 1);
 }
+
 TEST(QueryServerTest, WarmServingAllocatesNoNewWorkspaceBytes) {
   // The zero-steady-state-allocation contract (docs/KERNELS.md): every
   // per-query tensor allocation comes from the per-thread workspace arena,
